@@ -15,11 +15,10 @@
 //                              that overlaps computation is hidden.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string_view>
-#include <vector>
+#include <utility>
 
+#include "core/split_phase.hpp"
 #include "sim/engine.hpp"
 
 namespace qmb::core {
@@ -36,33 +35,22 @@ class Barrier {
   /// Split phase, part 1: starts `rank`'s participation without blocking.
   /// Throws std::logic_error on a double notify (a notify with no
   /// intervening wait completion).
-  void notify(int rank);
+  void notify(int rank) {
+    split_.begin(rank, size());
+    enter(rank, [this, rank] { split_.complete(rank, size(), 0); });
+  }
 
   /// Split phase, part 2: `done` runs when the barrier notified earlier
   /// completes for `rank` — immediately if it already has. Throws
   /// std::logic_error without a prior notify, or when a wait is already
   /// pending.
-  void wait(int rank, sim::EventCallback done);
+  void wait(int rank, sim::EventCallback done) { split_.wait(rank, size(), std::move(done)); }
 
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual int size() const = 0;
 
  private:
-  /// Per-rank split-phase progress. The protocol completion can land before
-  /// or after the host's wait(); the state records which side arrived first.
-  enum class Phase : std::uint8_t {
-    kIdle,      // no split-phase operation in flight
-    kNotified,  // notify() issued, protocol still running, no waiter yet
-    kWaiting,   // wait() parked a callback, protocol still running
-    kReady,     // protocol completed before wait() showed up
-  };
-  struct SplitState {
-    Phase phase = Phase::kIdle;
-    sim::EventCallback waiter;
-  };
-  SplitState& split_state(int rank);
-
-  std::vector<SplitState> split_;  // lazily sized to size()
+  SplitPhase<sim::EventCallback> split_{{"barrier", "notified", "notify"}};
 };
 
 }  // namespace qmb::core

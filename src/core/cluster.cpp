@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/host_executor.hpp"
 #include "core/ib_barriers.hpp"
 #include "core/myri_barriers.hpp"
 #include "core/quadrics_barriers.hpp"
@@ -49,7 +50,8 @@ std::unique_ptr<Barrier> MyriCluster::make_barrier(MyriBarrierKind kind,
       algorithm, static_cast<int>(rank_to_node.size()), radix);
   switch (kind) {
     case MyriBarrierKind::kHost:
-      return std::make_unique<MyriHostBarrier>(*this, schedule, std::move(rank_to_node));
+      return make_host_barrier(*this, schedule, std::move(rank_to_node),
+                               "myri-host-" + std::string(coll::to_string(schedule.algorithm)));
     case MyriBarrierKind::kNicDirect:
       return std::make_unique<MyriDirectNicBarrier>(*this, schedule, std::move(rank_to_node));
     case MyriBarrierKind::kNicCollective:
@@ -82,9 +84,14 @@ std::unique_ptr<Barrier> ElanCluster::make_barrier(ElanBarrierKind kind,
                                                    int gsync_tree_degree, int radix) {
   if (rank_to_node.empty()) rank_to_node = identity_placement(size());
   switch (kind) {
-    case ElanBarrierKind::kGsyncTree:
-      return std::make_unique<ElanGsyncBarrier>(*this, std::move(rank_to_node),
-                                                gsync_tree_degree);
+    case ElanBarrierKind::kGsyncTree: {
+      // elan_gsync() with hardware broadcast disabled: a host-level
+      // gather-broadcast tree over tagged puts.
+      const auto schedule = coll::make_barrier_schedule(
+          coll::Algorithm::kGatherBroadcast, static_cast<int>(rank_to_node.size()),
+          gsync_tree_degree);
+      return make_host_barrier(*this, schedule, std::move(rank_to_node), "elan-gsync-tree");
+    }
     case ElanBarrierKind::kHardware:
       return std::make_unique<ElanHwBarrier>(*this);
     case ElanBarrierKind::kNicChained: {
@@ -127,7 +134,8 @@ std::unique_ptr<Barrier> IbCluster::make_barrier(IbBarrierKind kind,
       algorithm, static_cast<int>(rank_to_node.size()), radix);
   switch (kind) {
     case IbBarrierKind::kHost:
-      return std::make_unique<IbHostBarrier>(*this, schedule, std::move(rank_to_node));
+      return make_host_barrier(*this, schedule, std::move(rank_to_node),
+                               "ib-host-" + std::string(coll::to_string(schedule.algorithm)));
     case IbBarrierKind::kNicCollective:
       return std::make_unique<IbNicBarrier>(*this, schedule, std::move(rank_to_node));
   }

@@ -1,12 +1,11 @@
 #include "core/collectives.hpp"
 
-#include <cassert>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "core/cluster.hpp"
-#include "core/myri_barriers.hpp"  // BarrierTag codec
+#include "core/host_executor.hpp"
 
 namespace qmb::core {
 
@@ -130,61 +129,6 @@ coll::GroupSchedule make_collective_schedule(coll::OpKind kind, int n, int root,
   throw std::invalid_argument("unknown collective kind");
 }
 
-Collective::SplitState& Collective::split_state(int rank) {
-  if (rank < 0 || rank >= size()) {
-    throw std::logic_error("split-phase rank " + std::to_string(rank) +
-                           " out of range for a " + std::to_string(size()) +
-                           "-rank collective");
-  }
-  if (split_.size() != static_cast<std::size_t>(size())) {
-    split_.resize(static_cast<std::size_t>(size()));
-  }
-  return split_[static_cast<std::size_t>(rank)];
-}
-
-void Collective::start(int rank, std::int64_t value) {
-  SplitState& st = split_state(rank);
-  if (st.phase != Phase::kIdle) {
-    throw std::logic_error("rank " + std::to_string(rank) +
-                           " started the collective twice without waiting");
-  }
-  st.phase = Phase::kNotified;
-  enter(rank, value, [this, rank](std::int64_t result) {
-    SplitState& s = split_state(rank);
-    if (s.phase == Phase::kWaiting) {
-      // Host got there first and parked; release it and re-arm.
-      DoneFn done = std::move(s.waiter);
-      s.waiter = nullptr;
-      s.phase = Phase::kIdle;
-      done(result);
-    } else {
-      s.result = result;
-      s.phase = Phase::kReady;
-    }
-  });
-}
-
-void Collective::wait(int rank, DoneFn done) {
-  SplitState& st = split_state(rank);
-  switch (st.phase) {
-    case Phase::kIdle:
-      throw std::logic_error("rank " + std::to_string(rank) +
-                             " waited on the collective without a start");
-    case Phase::kWaiting:
-      throw std::logic_error("rank " + std::to_string(rank) +
-                             " waited on the collective twice");
-    case Phase::kReady:
-      // Protocol already finished under the compute phase: complete now.
-      st.phase = Phase::kIdle;
-      done(st.result);
-      return;
-    case Phase::kNotified:
-      st.phase = Phase::kWaiting;
-      st.waiter = std::move(done);
-      return;
-  }
-}
-
 MyriNicCollective::MyriNicCollective(MyriCluster& cluster, const coll::CollSpec& spec)
     : cluster_(cluster),
       kind_(spec.op),
@@ -212,67 +156,6 @@ MyriNicCollective::MyriNicCollective(MyriCluster& cluster, const coll::CollSpec&
 void MyriNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
   const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
   cluster_.node(node).port().collective_enter(group_id_, value, std::move(done));
-}
-
-MyriHostCollective::MyriHostCollective(MyriCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask),
-      payload_bytes_(spec.payload_bytes) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  schedule_ = make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("myri-host-") + std::string(kind_name(spec.op));
-
-  node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
-  for (int r = 0; r < n; ++r) {
-    node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
-  }
-
-  ranks_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
-    ctx.port = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]).port();
-    ctx.waits_per_op = schedule_.ranks[static_cast<std::size_t>(r)].total_waits();
-    ctx.port->provide_receive_buffers(2 * ctx.waits_per_op + 4);
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t value) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          const auto bytes =
-              payload_bytes_ * static_cast<std::uint32_t>(
-                                   coll::edge_payload_words(kind_, e.tag, value));
-          c.port->send(dst_node, bytes, BarrierTag::encode(group_id_, seq, e.tag), {}, value);
-        },
-        [this, r](std::uint32_t seq, std::int64_t result) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          auto cb = std::move(c.done);
-          c.done = nullptr;
-          if (cb) cb(result);
-        },
-        spec.op, spec.reduce);
-
-    ctx.port->add_collective_handler(group_id_, [this, r](const myri::RecvEvent& ev) {
-      RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-      const int src_rank = node_to_rank_.at(static_cast<std::size_t>(ev.src_node));
-      assert(src_rank >= 0);
-      const std::uint32_t seq =
-          BarrierTag::widen_seq(BarrierTag::seq_low(ev.tag), c.window->next_seq());
-      c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(ev.tag), ev.inline_value);
-    });
-  }
-}
-
-void MyriHostCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
-  assert(!ctx.done && "rank re-entered before completion");
-  ctx.done = std::move(done);
-  ctx.port->provide_receive_buffers(ctx.waits_per_op);
-  ctx.port->host_cpu().exec(ctx.port->host_config().barrier_logic, [this, rank, value] {
-    ranks_[static_cast<std::size_t>(rank)].window->start(value);
-  });
 }
 
 ElanNicCollective::ElanNicCollective(ElanCluster& cluster, const coll::CollSpec& spec)
@@ -305,77 +188,6 @@ void ElanNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
   cluster_.node(node).collective_enter(group_id_, value, std::move(done));
 }
 
-ElanHostCollective::ElanHostCollective(ElanCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask),
-      payload_bytes_(spec.payload_bytes) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  schedule_ = make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("elan-host-") + std::string(kind_name(spec.op));
-
-  node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
-  for (int r = 0; r < n; ++r) {
-    node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
-  }
-
-  ranks_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
-    ctx.node = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]);
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t value) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          const auto bytes =
-              payload_bytes_ * static_cast<std::uint32_t>(
-                                   coll::edge_payload_words(kind_, e.tag, value));
-          c.node->put(dst_node, bytes, BarrierTag::encode(group_id_, seq, e.tag), value);
-        },
-        [this, r](std::uint32_t seq, std::int64_t result) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          auto cb = std::move(c.done);
-          c.done = nullptr;
-          if (cb) cb(result);
-        },
-        spec.op, spec.reduce);
-
-    // The elan host API has no per-group dispatch (unlike GmPort), so each
-    // collective registers an additive handler and filters by group.
-    ctx.handler_id = ctx.node->add_receive_handler(
-        [this, r](int src_node, std::uint32_t tag, std::int64_t value) {
-          if (!BarrierTag::is_barrier(tag)) return;
-          if (BarrierTag::group(tag) != group_id_) return;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int src_rank = node_to_rank_.at(static_cast<std::size_t>(src_node));
-          assert(src_rank >= 0);
-          const std::uint32_t seq =
-              BarrierTag::widen_seq(BarrierTag::seq_low(tag), c.window->next_seq());
-          c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(tag), value);
-        });
-  }
-}
-
-ElanHostCollective::~ElanHostCollective() {
-  for (RankCtx& ctx : ranks_) {
-    if (ctx.node != nullptr && ctx.handler_id >= 0) {
-      ctx.node->remove_receive_handler(ctx.handler_id);
-    }
-  }
-}
-
-void ElanHostCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
-  assert(!ctx.done && "rank re-entered before completion");
-  ctx.done = std::move(done);
-  ctx.node->host_cpu().exec(ctx.node->config().host_event_setup, [this, rank, value] {
-    ranks_[static_cast<std::size_t>(rank)].window->start(value);
-  });
-}
-
 IbNicCollective::IbNicCollective(IbCluster& cluster, const coll::CollSpec& spec)
     : cluster_(cluster),
       kind_(spec.op),
@@ -405,81 +217,10 @@ void IbNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
   cluster_.node(node).collective_enter(group_id_, value, std::move(done));
 }
 
-IbHostCollective::IbHostCollective(IbCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask),
-      payload_bytes_(spec.payload_bytes) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  schedule_ = make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("ib-host-") + std::string(kind_name(spec.op));
-
-  node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
-  for (int r = 0; r < n; ++r) {
-    node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
-  }
-
-  ranks_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
-    ctx.node = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]);
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t value) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          const auto bytes =
-              payload_bytes_ * static_cast<std::uint32_t>(
-                                   coll::edge_payload_words(kind_, e.tag, value));
-          c.node->post(dst_node, bytes, BarrierTag::encode(group_id_, seq, e.tag), value);
-        },
-        [this, r](std::uint32_t seq, std::int64_t result) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          auto cb = std::move(c.done);
-          c.done = nullptr;
-          if (cb) cb(result);
-        },
-        spec.op, spec.reduce);
-
-    // Like the Elan host layer, IbNode dispatches one host-message stream
-    // per node, so each collective adds a handler and filters by group id.
-    ctx.handler_id = ctx.node->add_receive_handler(
-        [this, r](int src_node, std::uint32_t tag, std::int64_t value) {
-          if (!BarrierTag::is_barrier(tag)) return;
-          if (BarrierTag::group(tag) != group_id_) return;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int src_rank = node_to_rank_.at(static_cast<std::size_t>(src_node));
-          assert(src_rank >= 0);
-          const std::uint32_t seq =
-              BarrierTag::widen_seq(BarrierTag::seq_low(tag), c.window->next_seq());
-          c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(tag), value);
-        });
-  }
-}
-
-IbHostCollective::~IbHostCollective() {
-  for (RankCtx& ctx : ranks_) {
-    if (ctx.node != nullptr && ctx.handler_id >= 0) {
-      ctx.node->remove_receive_handler(ctx.handler_id);
-    }
-  }
-}
-
-void IbHostCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
-  assert(!ctx.done && "rank re-entered before completion");
-  ctx.done = std::move(done);
-  ctx.node->host_cpu().exec(ctx.node->config().host_setup, [this, rank, value] {
-    ranks_[static_cast<std::size_t>(rank)].window->start(value);
-  });
-}
-
 std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
                                             const coll::CollSpec& spec) {
   if (spec.engine == coll::Engine::kHost) {
-    return std::make_unique<MyriHostCollective>(cluster, spec);
+    return make_host_collective(cluster, spec, resolve_placement(spec, cluster.size()));
   }
   return std::make_unique<MyriNicCollective>(cluster, spec);
 }
@@ -487,7 +228,7 @@ std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
 std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
                                             const coll::CollSpec& spec) {
   if (spec.engine == coll::Engine::kHost) {
-    return std::make_unique<ElanHostCollective>(cluster, spec);
+    return make_host_collective(cluster, spec, resolve_placement(spec, cluster.size()));
   }
   return std::make_unique<ElanNicCollective>(cluster, spec);
 }
@@ -495,105 +236,9 @@ std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
 std::unique_ptr<Collective> make_collective(IbCluster& cluster,
                                             const coll::CollSpec& spec) {
   if (spec.engine == coll::Engine::kHost) {
-    return std::make_unique<IbHostCollective>(cluster, spec);
+    return make_host_collective(cluster, spec, resolve_placement(spec, cluster.size()));
   }
   return std::make_unique<IbNicCollective>(cluster, spec);
 }
-
-namespace {
-
-[[nodiscard]] coll::CollSpec legacy_spec(coll::OpKind kind, coll::Engine engine,
-                                         int root, coll::ReduceOp reduce,
-                                         std::vector<int> rank_to_node,
-                                         std::uint32_t payload_bytes,
-                                         coll::Algorithm algorithm, int radix) {
-  coll::CollSpec spec;
-  spec.op = kind;
-  spec.engine = engine;
-  spec.root = root;
-  spec.reduce = reduce;
-  spec.payload_bytes = payload_bytes;
-  spec.algorithm = algorithm;
-  spec.radix = radix;
-  spec.rank_to_node = std::move(rank_to_node);
-  return spec;
-}
-
-}  // namespace
-
-// Deprecated shim definitions (declarations carry the attribute; silence
-// the self-referential warning here only).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-std::unique_ptr<Collective> make_nic_collective(MyriCluster& cluster, coll::OpKind kind,
-                                                int root, coll::ReduceOp reduce,
-                                                std::vector<int> rank_to_node,
-                                                std::uint32_t payload_bytes,
-                                                coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kNic, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
-
-std::unique_ptr<Collective> make_host_collective(MyriCluster& cluster, coll::OpKind kind,
-                                                 int root, coll::ReduceOp reduce,
-                                                 std::vector<int> rank_to_node,
-                                                 std::uint32_t payload_bytes,
-                                                 coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kHost, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
-
-std::unique_ptr<Collective> make_elan_nic_collective(ElanCluster& cluster,
-                                                     coll::OpKind kind, int root,
-                                                     coll::ReduceOp reduce,
-                                                     std::vector<int> rank_to_node,
-                                                     std::uint32_t payload_bytes,
-                                                     coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kNic, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
-
-std::unique_ptr<Collective> make_elan_host_collective(ElanCluster& cluster,
-                                                      coll::OpKind kind, int root,
-                                                      coll::ReduceOp reduce,
-                                                      std::vector<int> rank_to_node,
-                                                      std::uint32_t payload_bytes,
-                                                      coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kHost, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
-
-std::unique_ptr<Collective> make_ib_nic_collective(IbCluster& cluster, coll::OpKind kind,
-                                                   int root, coll::ReduceOp reduce,
-                                                   std::vector<int> rank_to_node,
-                                                   std::uint32_t payload_bytes,
-                                                   coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kNic, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
-
-std::unique_ptr<Collective> make_ib_host_collective(IbCluster& cluster, coll::OpKind kind,
-                                                    int root, coll::ReduceOp reduce,
-                                                    std::vector<int> rank_to_node,
-                                                    std::uint32_t payload_bytes,
-                                                    coll::Algorithm algorithm, int radix) {
-  return make_collective(cluster,
-                         legacy_spec(kind, coll::Engine::kHost, root, reduce,
-                                     std::move(rank_to_node), payload_bytes,
-                                     algorithm, radix));
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace qmb::core

@@ -20,11 +20,8 @@
 #include <vector>
 
 #include "core/coll_spec.hpp"
-#include "core/op_window.hpp"
 #include "core/schedule.hpp"
-#include "ib/node.hpp"
-#include "myrinet/gm.hpp"
-#include "quadrics/elanlib.hpp"
+#include "core/split_phase.hpp"
 
 namespace qmb::core {
 
@@ -58,34 +55,23 @@ class Collective {
   /// Split phase, part 1: starts `rank`'s participation with `value`
   /// without blocking. Throws std::logic_error on a double start (a start
   /// with no intervening wait completion).
-  void start(int rank, std::int64_t value);
+  void start(int rank, std::int64_t value) {
+    split_.begin(rank, size());
+    enter(rank, value,
+          [this, rank](std::int64_t result) { split_.complete(rank, size(), result); });
+  }
 
   /// Split phase, part 2: `done(result)` runs when the operation started
   /// earlier completes for `rank` — immediately if it already has. Throws
   /// std::logic_error without a prior start, or when a wait is pending.
-  void wait(int rank, DoneFn done);
+  void wait(int rank, DoneFn done) { split_.wait(rank, size(), std::move(done)); }
 
   [[nodiscard]] virtual std::string_view name() const = 0;
   [[nodiscard]] virtual int size() const = 0;
   [[nodiscard]] virtual coll::OpKind kind() const = 0;
 
  private:
-  /// Per-rank split-phase progress; the protocol completion can land before
-  /// or after the host's wait(), the state records which side came first.
-  enum class Phase : std::uint8_t {
-    kIdle,      // no split-phase operation in flight
-    kNotified,  // start() issued, protocol still running, no waiter yet
-    kWaiting,   // wait() parked a callback, protocol still running
-    kReady,     // protocol completed before wait() showed up
-  };
-  struct SplitState {
-    Phase phase = Phase::kIdle;
-    std::int64_t result = 0;
-    DoneFn waiter;
-  };
-  SplitState& split_state(int rank);
-
-  std::vector<SplitState> split_;  // lazily sized to size()
+  SplitPhase<DoneFn> split_{{"collective", "started", "start"}};
 };
 
 /// NIC-resident implementation: one doorbell in, one completion word out,
@@ -104,37 +90,6 @@ class MyriNicCollective final : public Collective {
   coll::OpKind kind_;
   std::vector<int> rank_to_node_;
   std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// Host-based implementation over GM send/receive: every schedule edge pays
-/// the full point-to-point path and host processing — the baseline the NIC
-/// version is measured against (bench_collectives).
-class MyriHostCollective final : public Collective {
- public:
-  MyriHostCollective(MyriCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  struct RankCtx {
-    myri::GmPort* port = nullptr;
-    std::unique_ptr<OpWindow> window;
-    DoneFn done;
-    int waits_per_op = 0;
-  };
-
-  MyriCluster& cluster_;
-  coll::OpKind kind_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::uint32_t payload_bytes_ = 8;
   std::string name_;
 };
 
@@ -158,37 +113,6 @@ class ElanNicCollective final : public Collective {
   std::string name_;
 };
 
-/// Host-level Quadrics implementation over tagged puts (the gsync pattern
-/// generalized to value operations).
-class ElanHostCollective final : public Collective {
- public:
-  ElanHostCollective(ElanCluster& cluster, const coll::CollSpec& spec);
-  ~ElanHostCollective() override;
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  struct RankCtx {
-    elan::ElanNode* node = nullptr;
-    std::unique_ptr<OpWindow> window;
-    DoneFn done;
-    int handler_id = -1;
-  };
-
-  ElanCluster& cluster_;
-  coll::OpKind kind_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::uint32_t payload_bytes_ = 8;
-  std::string name_;
-};
-
 /// IB NIC-resident implementation: the collective group engine runs on the
 /// HCA over sequenced RDMA writes-with-immediate — one doorbell in, one
 /// CQE out, like the Myrinet and Elan NIC engines.
@@ -206,37 +130,6 @@ class IbNicCollective final : public Collective {
   coll::OpKind kind_;
   std::vector<int> rank_to_node_;
   std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// Host-level IB implementation over tagged writes: every schedule edge
-/// pays WQE build + doorbell + CQ polling on the hosts.
-class IbHostCollective final : public Collective {
- public:
-  IbHostCollective(IbCluster& cluster, const coll::CollSpec& spec);
-  ~IbHostCollective() override;
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  struct RankCtx {
-    ib::IbNode* node = nullptr;
-    std::unique_ptr<OpWindow> window;
-    DoneFn done;
-    int handler_id = -1;
-  };
-
-  IbCluster& cluster_;
-  coll::OpKind kind_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::uint32_t payload_bytes_ = 8;
   std::string name_;
 };
 
@@ -266,52 +159,13 @@ class IbHostCollective final : public Collective {
 [[nodiscard]] std::int64_t expected_collective_result(coll::OpKind kind, int n);
 
 /// Single construction entry points: one CollSpec in, one Collective out,
-/// dispatching on spec.engine. The substrate registry's
-/// SubstrateCluster::make_collective lands here.
+/// dispatching on spec.engine (host executors: core/host_executor.hpp).
+/// The substrate registry's SubstrateCluster::make_collective lands here.
 std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
                                             const coll::CollSpec& spec);
 std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
                                             const coll::CollSpec& spec);
 std::unique_ptr<Collective> make_collective(IbCluster& cluster,
                                             const coll::CollSpec& spec);
-
-// Deprecated positional factories, kept one release as shims over CollSpec
-// (byte-identical construction — a test asserts the fingerprints match).
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_nic_collective(
-    MyriCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_host_collective(
-    MyriCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_elan_nic_collective(
-    ElanCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_elan_host_collective(
-    ElanCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_ib_nic_collective(
-    IbCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
-[[deprecated("build a coll::CollSpec and call make_collective(cluster, spec)")]]
-std::unique_ptr<Collective> make_ib_host_collective(
-    IbCluster& cluster, coll::OpKind kind, int root = 0,
-    coll::ReduceOp reduce = coll::ReduceOp::kSum, std::vector<int> rank_to_node = {},
-    std::uint32_t payload_bytes = 8,
-    coll::Algorithm algorithm = coll::Algorithm::kDissemination, int radix = 0);
 
 }  // namespace qmb::core

@@ -5,72 +5,6 @@
 
 namespace qmb::core {
 
-IbHostBarrier::IbHostBarrier(IbCluster& cluster, const coll::GroupSchedule& schedule,
-                             std::vector<int> rank_to_node)
-    : cluster_(cluster),
-      schedule_(schedule),
-      rank_to_node_(std::move(rank_to_node)),
-      group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask) {
-  const int n = schedule_.size;
-  assert(static_cast<int>(rank_to_node_.size()) == n);
-  name_ = std::string("ib-host-") + std::string(coll::to_string(schedule_.algorithm));
-
-  node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
-  for (int r = 0; r < n; ++r) {
-    node_to_rank_.at(static_cast<std::size_t>(rank_to_node_[static_cast<std::size_t>(r)])) = r;
-  }
-
-  ranks_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
-    ctx.node = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]);
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          c.node->post(dst_node, 8, BarrierTag::encode(group_id_, seq, e.tag));
-        },
-        [this, r](std::uint32_t seq, std::int64_t) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          auto cb = std::move(c.done);
-          c.done = nullptr;
-          if (cb) cb();
-        });
-
-    ctx.handler_id =
-        ctx.node->add_receive_handler([this, r](int src_node, std::uint32_t tag, std::int64_t) {
-      if (!BarrierTag::is_barrier(tag)) return;
-      if (BarrierTag::group(tag) != group_id_) return;
-      RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-      const int src_rank = node_to_rank_.at(static_cast<std::size_t>(src_node));
-      assert(src_rank >= 0);
-      const std::uint32_t seq =
-          BarrierTag::widen_seq(BarrierTag::seq_low(tag), c.window->next_seq());
-      c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(tag));
-    });
-  }
-}
-
-IbHostBarrier::~IbHostBarrier() {
-  for (RankCtx& ctx : ranks_) {
-    if (ctx.node != nullptr && ctx.handler_id >= 0) {
-      ctx.node->remove_receive_handler(ctx.handler_id);
-    }
-  }
-}
-
-void IbHostBarrier::enter(int rank, sim::EventCallback done) {
-  RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
-  assert(!ctx.done && "rank re-entered before completion");
-  ctx.done = std::move(done);
-  // Host-side bookkeeping before the first write of this operation.
-  ctx.node->host_cpu().exec(ctx.node->config().host_setup, [this, rank] {
-    ranks_[static_cast<std::size_t>(rank)].window->start();
-  });
-}
-
 IbNicBarrier::IbNicBarrier(IbCluster& cluster, const coll::GroupSchedule& schedule,
                            std::vector<int> rank_to_node)
     : cluster_(cluster),

@@ -1,8 +1,6 @@
-// The two IB barrier implementations: the NIC-based collective protocol
-// ported onto RC verbs, and a host-level baseline over tagged
-// write-with-immediate messages (every stage pays CQ polling and a fresh
-// doorbell) — the comparison pair the Myrinet and Quadrics substrates
-// already have.
+// The IB NIC barrier: the NIC-based collective protocol ported onto RC
+// verbs. Its host-level baseline over tagged write-with-immediate messages
+// is core/host_executor.hpp's executor.
 #pragma once
 
 #include <cstdint>
@@ -11,44 +9,12 @@
 #include <vector>
 
 #include "core/barrier.hpp"
-#include "core/myri_barriers.hpp"  // BarrierTag codec (network-agnostic)
-#include "core/op_window.hpp"
 #include "core/schedule.hpp"
 #include "ib/node.hpp"
 
 namespace qmb::core {
 
 class IbCluster;
-
-/// Host-level barrier over tagged writes: the schedule walks on the host,
-/// each edge paying WQE build + doorbell on the sender and CQ polling on
-/// the receiver.
-class IbHostBarrier final : public Barrier {
- public:
-  IbHostBarrier(IbCluster& cluster, const coll::GroupSchedule& schedule,
-                std::vector<int> rank_to_node);
-  ~IbHostBarrier() override;
-
-  void enter(int rank, sim::EventCallback done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-
- private:
-  struct RankCtx {
-    ib::IbNode* node = nullptr;
-    std::unique_ptr<OpWindow> window;
-    sim::EventCallback done;
-    int handler_id = -1;
-  };
-
-  IbCluster& cluster_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::string name_;
-};
 
 /// The paper's barrier on verbs: the schedule is armed on the HCA once and
 /// advanced purely by arriving RDMA writes-with-immediate; the host sees

@@ -1,4 +1,5 @@
-// The three Myrinet barrier implementations compared in Figs. 5 and 6.
+// The Myrinet NIC barrier implementations compared in Figs. 5 and 6 (the
+// host-based baseline is core/host_executor.hpp's executor).
 #pragma once
 
 #include <cstdint>
@@ -8,7 +9,7 @@
 
 #include "core/barrier.hpp"
 #include "core/coll_tag.hpp"
-#include "core/op_window.hpp"
+#include "core/group_window.hpp"
 #include "core/schedule.hpp"
 #include "myrinet/gm.hpp"
 
@@ -18,39 +19,6 @@ class MyriCluster;
 
 // BarrierTag (the GM-tag codec for collective messages) lives in
 // core/coll_tag.hpp so the GM port can demultiplex on it as well.
-
-/// Host-based barrier over GM send/receive (the paper's baseline): every
-/// step costs a host descriptor post, a doorbell, the full MCP send path
-/// with host DMA, and event detection by the receiving host's poll loop.
-///
-/// Construction installs this barrier as the receive handler of every
-/// node's GM port: one host barrier per cluster at a time.
-class MyriHostBarrier final : public Barrier {
- public:
-  MyriHostBarrier(MyriCluster& cluster, const coll::GroupSchedule& schedule,
-                  std::vector<int> rank_to_node);
-
-  void enter(int rank, sim::EventCallback done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-
- private:
-  struct RankCtx {
-    myri::GmPort* port = nullptr;
-    std::unique_ptr<OpWindow> window;
-    sim::EventCallback done;
-    std::uint32_t entered_seq = 0;
-    int waits_per_op = 0;
-  };
-
-  MyriCluster& cluster_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_;
-  std::string name_;
-};
 
 /// Prior work's direct NIC-based barrier (Buntinas et al.): the NIC detects
 /// barrier messages and triggers the next ones, but every message still
@@ -71,9 +39,11 @@ class MyriDirectNicBarrier final : public Barrier {
  private:
   struct RankCtx {
     myri::MyriNode* node = nullptr;
-    std::unique_ptr<OpWindow> window;
+    std::unique_ptr<GroupWindow<>> window;
     sim::EventCallback done;
   };
+
+  void start_op(int rank);
 
   MyriCluster& cluster_;
   coll::GroupSchedule schedule_;

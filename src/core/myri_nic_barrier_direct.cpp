@@ -26,35 +26,8 @@ MyriDirectNicBarrier::MyriDirectNicBarrier(MyriCluster& cluster,
     RankCtx& ctx = ranks_[static_cast<std::size_t>(r)];
     ctx.node = &cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]);
     myri::MyriNode* node = ctx.node;
-    ctx.window = std::make_unique<OpWindow>(
-        schedule_.ranks[static_cast<std::size_t>(r)],
-        // Trigger the next barrier message through the regular MCP send
-        // path: token creation, destination queues, packet claim, send
-        // record, ACK — the direct scheme's defining overhead.
-        [this, r](std::uint32_t seq, const coll::Edge& e, std::int64_t) {
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
-          c.node->mcp().nic_send(dst_node, BarrierTag::encode(group_id_, seq, e.tag), 0);
-        },
-        // Completion: the NIC posts one event record to the host.
-        [this, r](std::uint32_t seq, std::int64_t) {
-          (void)seq;
-          RankCtx& c = ranks_[static_cast<std::size_t>(r)];
-          myri::MyriNode& nd = *c.node;
-          nd.nic().exec(nd.nic().lanai().cyc_post_recv_event, [this, r, &nd] {
-            nd.pci().dma(8, [this, r, &nd] {
-              RankCtx& cc = ranks_[static_cast<std::size_t>(r)];
-              nd.host_cpu().exec(nd.nic().config().host.barrier_detect,
-                                 [this, r] {
-                                   RankCtx& c2 = ranks_[static_cast<std::size_t>(r)];
-                                   auto cb = std::move(c2.done);
-                                   c2.done = nullptr;
-                                   if (cb) cb();
-                                 });
-              (void)cc;
-            });
-          });
-        });
+    ctx.window = std::make_unique<GroupWindow<>>(schedule_.ranks[static_cast<std::size_t>(r)],
+                                                 coll::OpKind::kBarrier, coll::ReduceOp::kSum);
 
     // The NIC hands arriving NIC-sourced messages straight to us (after its
     // normal point-to-point receive processing and ACK).
@@ -66,7 +39,7 @@ MyriDirectNicBarrier::MyriDirectNicBarrier(MyriCluster& cluster,
       assert(src_rank >= 0);
       const std::uint32_t seq =
           BarrierTag::widen_seq(BarrierTag::seq_low(ev.tag), c.window->next_seq());
-      c.window->on_arrival(seq, src_rank, BarrierTag::edge_tag(ev.tag));
+      c.window->arrive(seq, src_rank, BarrierTag::edge_tag(ev.tag), 0);
     });
   }
 }
@@ -79,11 +52,38 @@ void MyriDirectNicBarrier::enter(int rank, sim::EventCallback done) {
   // Host posts the barrier request; the NIC runs the operation from there.
   nd.host_cpu().exec(nd.nic().config().host.send_post, [this, rank, &nd] {
     nd.pci().pio_write([this, rank, &nd] {
-      nd.nic().exec(nd.nic().lanai().cyc_process_send_event, [this, rank] {
-        ranks_[static_cast<std::size_t>(rank)].window->start();
-      });
+      nd.nic().exec(nd.nic().lanai().cyc_process_send_event,
+                    [this, rank] { start_op(rank); });
     });
   });
+}
+
+void MyriDirectNicBarrier::start_op(int rank) {
+  GroupWindow<>& w = *ranks_[static_cast<std::size_t>(rank)].window;
+  w.start(
+      w.enter(0),
+      // Trigger the next barrier message through the regular MCP send path:
+      // token creation, destination queues, packet claim, send record, ACK
+      // — the direct scheme's defining overhead.
+      [this, rank](GroupWindow<>::Op& op, const coll::Edge& e) {
+        const int dst_node = rank_to_node_[static_cast<std::size_t>(e.peer)];
+        ranks_[static_cast<std::size_t>(rank)].node->mcp().nic_send(
+            dst_node, BarrierTag::encode(group_id_, op.seq, e.tag), 0);
+      },
+      // Completion: the NIC posts one event record to the host.
+      [this, rank](GroupWindow<>::Op&) {
+        myri::MyriNode& nd = *ranks_[static_cast<std::size_t>(rank)].node;
+        nd.nic().exec(nd.nic().lanai().cyc_post_recv_event, [this, rank, &nd] {
+          nd.pci().dma(8, [this, rank, &nd] {
+            nd.host_cpu().exec(nd.nic().config().host.barrier_detect, [this, rank] {
+              RankCtx& c = ranks_[static_cast<std::size_t>(rank)];
+              auto cb = std::move(c.done);
+              c.done = nullptr;
+              if (cb) cb();
+            });
+          });
+        });
+      });
 }
 
 }  // namespace qmb::core

@@ -1,4 +1,5 @@
-// The three Quadrics barrier implementations compared in Fig. 7.
+// The Quadrics NIC and hardware barriers compared in Fig. 7 (elan_gsync,
+// the host-level tree, is core/host_executor.hpp's executor).
 #pragma once
 
 #include <cstdint>
@@ -7,43 +8,12 @@
 #include <vector>
 
 #include "core/barrier.hpp"
-#include "core/myri_barriers.hpp"  // BarrierTag codec (network-agnostic)
-#include "core/op_window.hpp"
 #include "core/schedule.hpp"
 #include "quadrics/elanlib.hpp"
 
 namespace qmb::core {
 
 class ElanCluster;
-
-/// elan_gsync() with hardware broadcast disabled: a host-level tree
-/// gather-broadcast over tagged RDMA puts. Every tree stage pays host event
-/// detection and a fresh doorbell.
-class ElanGsyncBarrier final : public Barrier {
- public:
-  ElanGsyncBarrier(ElanCluster& cluster, std::vector<int> rank_to_node, int tree_degree);
-  ~ElanGsyncBarrier() override;
-
-  void enter(int rank, sim::EventCallback done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
-
- private:
-  struct RankCtx {
-    elan::ElanNode* node = nullptr;
-    std::unique_ptr<OpWindow> window;
-    sim::EventCallback done;
-    int handler_id = -1;
-  };
-
-  ElanCluster& cluster_;
-  coll::GroupSchedule schedule_;
-  std::vector<int> rank_to_node_;
-  std::vector<int> node_to_rank_;
-  std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_ = 0;
-  std::string name_;
-};
 
 /// elan_hgsync(): the hardware broadcast + network test-and-set barrier.
 /// Fast and N-independent, but only when processes arrive together; a

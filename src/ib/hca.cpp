@@ -306,27 +306,8 @@ void Hca::create_group(IbGroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
     throw std::invalid_argument("ib collective group id already registered");
   }
-  Group g;
-  g.desc = std::move(desc);
-  groups_.emplace(g.desc.group_id, std::move(g));
-}
-
-Hca::Op& Hca::touch_slot(Group& g, std::uint32_t seq) {
-  Op& op = g.slots[seq & 1];
-  if (op.in_use && op.seq == seq) return op;
-  if (op.in_use && !op.complete) {
-    throw std::logic_error("ib collective window violated: operation overtaken by seq+2");
-  }
-  if (op.exec) op.exec->reset();
-  op.early.clear();
-  op.wait_values.clear();
-  op.seq = seq;
-  op.in_use = true;
-  op.active = false;
-  op.complete = false;
-  op.acc = 0;
-  op.done = nullptr;
-  return op;
+  const std::uint32_t id = desc.group_id;
+  groups_.try_emplace(id, std::move(desc));
 }
 
 void Hca::barrier_enter(std::uint32_t group, sim::EventCallback done) {
@@ -345,47 +326,14 @@ void Hca::collective_enter(std::uint32_t group, std::int64_t value,
     auto it = groups_.find(group);
     assert(it != groups_.end() && "collective_enter on unknown group");
     Group& g = it->second;
-    const std::uint32_t seq = g.next_host_seq++;
-    Op& op = touch_slot(g, seq);
-    op.done = std::move(done);
-    op.acc = value;
-    activate(g, op);
-  });
-}
-
-void Hca::activate(Group& g, Op& op) {
-  op.active = true;
-  if (!op.exec) {
+    Op& op = g.window.enter(value);
+    op.state.done = std::move(done);
     Group* gp = &g;
-    Op* opp = &op;
-    op.exec = std::make_unique<coll::ScheduleExecutor>(
-        g.desc.schedule,
-        [this, gp, opp](const coll::Edge& e) { group_send(*gp, opp->seq, e, opp->acc); },
-        [this, gp, opp] { finish_op(*gp, *opp); });
-    // Payloads fold into the accumulator as their step is consumed (never
-    // at arrival time), matching the Myrinet and Elan engines' semantics.
-    op.exec->set_step_consumer([gp, opp](const coll::Step& st) {
-      for (const coll::Edge& w : st.waits) {
-        const auto it = opp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != opp->wait_values.end()) {
-          opp->acc = coll::combine_value(gp->desc.op_kind, gp->desc.reduce_op, w.tag,
-                                         opp->acc, it->second);
-        }
-      }
-    });
-  }
-  trace("op_enter", g.desc.group_id, op.seq);
-  for (const EarlyArrival& ea : op.early) {
-    op.wait_values.emplace(edge_key(ea.peer_rank, ea.tag), ea.value);
-  }
-  op.exec->start();
-  if (!op.complete) {
-    for (const EarlyArrival& ea : op.early) {
-      op.exec->on_arrival(ea.peer_rank, ea.tag);
-      if (op.complete) break;
-    }
-  }
-  op.early.clear();
+    g.window.start(
+        op, [this, gp](Op& o, const coll::Edge& e) { group_send(*gp, o.seq, e, o.acc); },
+        [this, gp](Op& o) { finish_op(*gp, o); },
+        [this, gp](Op& o) { trace("op_enter", gp->desc.group_id, o.seq); });
+  });
 }
 
 void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
@@ -416,31 +364,19 @@ void Hca::handle_group_event(const IbWrite& w) {
   auto it = groups_.find(w.group);
   if (it == groups_.end()) return;
   Group& g = it->second;
-  Op& slot = g.slots[w.seq & 1];
-  if (slot.in_use && slot.seq == w.seq) {
-    if (slot.complete) return;  // transport delivers exactly-once: cannot happen
-    if (slot.active) {
-      slot.wait_values.emplace(edge_key(static_cast<int>(w.src_rank), w.tag), w.value);
-      slot.exec->on_arrival(static_cast<int>(w.src_rank), w.tag);
-    } else {
-      ++stats_.early_buffered;
-      slot.early.push_back({static_cast<int>(w.src_rank), w.tag, w.value});
-    }
-    return;
+  // The transport delivers exactly once: nothing arrives twice or after
+  // completion.
+  if (g.window.arrive(w.seq, static_cast<int>(w.src_rank), w.tag, w.value) ==
+      core::Arrival::kEarly) {
+    ++stats_.early_buffered;
   }
-  if (slot.in_use && w.seq < slot.seq) return;  // stale
-  Op& op = touch_slot(g, w.seq);
-  ++stats_.early_buffered;
-  op.early.push_back({static_cast<int>(w.src_rank), w.tag, w.value});
 }
 
 void Hca::finish_op(Group& g, Op& op) {
-  assert(!op.complete);
-  op.complete = true;
   ++stats_.ops_completed;
   trace("op_complete", g.desc.group_id, op.seq);
-  auto done = std::move(op.done);
-  op.done = nullptr;
+  auto done = std::move(op.state.done);
+  op.state.done = nullptr;
   const std::int64_t result = op.acc;
   // The completion CQE (immediate data + result) DMAs to host memory.
   unit_.exec(config_->cq_dma, [done = std::move(done), result]() mutable {

@@ -31,9 +31,8 @@ void CollectiveEngine::create_group(GroupDesc desc) {
       desc.my_rank >= static_cast<int>(desc.rank_to_node->size())) {
     throw std::invalid_argument("my_rank outside rank_to_node");
   }
-  Group g;
-  g.desc = std::move(desc);
-  groups_.emplace(g.desc.group_id, std::move(g));
+  const std::uint32_t id = desc.group_id;
+  groups_.try_emplace(id, std::move(desc));
 }
 
 CollectiveEngine::Group& CollectiveEngine::group_of(std::uint32_t id) {
@@ -65,11 +64,6 @@ std::uint64_t CollectiveEngine::msg_key(std::uint32_t group, std::uint32_t seq,
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer) & 0xFFF);
 }
 
-std::int64_t CollectiveEngine::combine(const GroupDesc& desc, std::uint32_t tag,
-                                       std::int64_t acc, std::int64_t incoming) {
-  return coll::combine_value(desc.op_kind, desc.reduce_op, tag, acc, incoming);
-}
-
 std::uint32_t CollectiveEngine::wire_bytes_for(const GroupDesc& desc, std::uint32_t tag,
                                                std::int64_t value) const {
   // Allgather/alltoall messages carry one contribution per gathered rank;
@@ -78,31 +72,6 @@ std::uint32_t CollectiveEngine::wire_bytes_for(const GroupDesc& desc, std::uint3
   return cfg_.header_bytes +
          desc.payload_bytes *
              static_cast<std::uint32_t>(coll::edge_payload_words(desc.op_kind, tag, value));
-}
-
-CollectiveEngine::Op& CollectiveEngine::touch_slot(Group& g, std::uint32_t seq, bool& fresh) {
-  Op& op = g.slots[seq & 1];
-  fresh = false;
-  if (op.in_use && op.seq == seq) return op;
-  // Slot reuse: the operation two barriers back must have completed — a
-  // peer cannot legally be two operations ahead (the previous barrier's
-  // completion transitively required everyone to finish the one before).
-  if (op.in_use && !op.complete) {
-    throw std::logic_error("collective window violated: operation overtaken by seq+2");
-  }
-  nic_.engine().cancel(op.nack_timer);
-  if (op.exec) op.exec->reset();
-  op.early.clear();
-  op.sent_values.clear();
-  op.wait_values.clear();
-  op.seq = seq;
-  op.in_use = true;
-  op.active = false;
-  op.complete = false;
-  op.acc = 0;
-  op.done = nullptr;
-  fresh = true;
-  return op;
 }
 
 void CollectiveEngine::host_enter(std::uint32_t group, sim::EventCallback done) {
@@ -127,59 +96,24 @@ void CollectiveEngine::host_enter_value(std::uint32_t group, std::int64_t value,
   }
   nic_.exec(cfg_.cyc_coll_init, [this, group, value, done = std::move(done)]() mutable {
     Group& g = group_of(group);
-    const std::uint32_t seq = g.next_host_seq++;
-    bool fresh = false;
-    Op& op = touch_slot(g, seq, fresh);
-    op.done = std::move(done);
     // The accumulator starts from this rank's contribution; early arrivals
-    // replayed by activate() fold on top (bcast edges replace it anyway).
-    op.acc = value;
-    activate(g, op);
-  });
-}
-
-void CollectiveEngine::activate(Group& g, Op& op) {
-  op.active = true;
-  if (!op.exec) {
-    // Bound once per slot; Group and Op have stable addresses (node-based
-    // map, member array).
+    // replayed by start() fold on top (bcast edges replace it anyway).
+    Op& op = g.window.enter(value);
+    op.state.done = std::move(done);
     Group* gp = &g;
-    Op* opp = &op;
-    op.exec = std::make_unique<coll::ScheduleExecutor>(
-        g.desc.schedule,
-        [this, gp, opp](const coll::Edge& e) {
-          const std::int64_t v = opp->acc;
-          opp->sent_values[msg_key(gp->desc.group_id, opp->seq, e.tag, e.peer)] = v;
-          send_msg(*gp, opp->seq, e, false, v);
+    stats_.duplicates += g.window.start(
+        op,
+        [this, gp](Op& o, const coll::Edge& e) {
+          const std::int64_t v = o.acc;
+          o.state.sent_values[msg_key(gp->desc.group_id, o.seq, e.tag, e.peer)] = v;
+          send_msg(*gp, o.seq, e, false, v);
         },
-        [this, gp, opp] { finish_op(*gp, *opp); });
-    // Payloads fold into the accumulator only when their step is consumed,
-    // never at arrival time (an early arrival must not leak into the value
-    // this rank sends during that same step).
-    op.exec->set_step_consumer([this, gp, opp](const coll::Step& st) {
-      for (const coll::Edge& w : st.waits) {
-        const auto it = opp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != opp->wait_values.end()) {
-          opp->acc = combine(gp->desc, w.tag, opp->acc, it->second);
-        }
-      }
-    });
-  }
-  if (g.desc.features.receiver_driven) arm_nack_timer(g, op);
-  nic_.trace("coll_enter", g.desc.group_id, op.seq);
-  // Stash early payloads before starting: the executor may consume their
-  // steps during start() already.
-  for (const EarlyArrival& ea : op.early) {
-    op.wait_values.emplace(edge_key(ea.peer_rank, ea.tag), ea.value);
-  }
-  op.exec->start();
-  if (!op.complete) {
-    for (const EarlyArrival& ea : op.early) {
-      if (!op.exec->on_arrival(ea.peer_rank, ea.tag)) ++stats_.duplicates;
-      if (op.complete) break;
-    }
-  }
-  op.early.clear();
+        [this, gp](Op& o) { finish_op(*gp, o); },
+        [this, gp](Op& o) {
+          if (gp->desc.features.receiver_driven) arm_nack_timer(*gp, o);
+          nic_.trace("coll_enter", gp->desc.group_id, o.seq);
+        });
+  });
 }
 
 void CollectiveEngine::send_msg(Group& g, std::uint32_t seq, const coll::Edge& e,
@@ -246,10 +180,10 @@ void CollectiveEngine::arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t
   it->second.timer = nic_.engine().schedule(cfg_.ack_timeout, [this, gp, key, seq] {
     auto rit = msg_records_.find(key);
     if (rit == msg_records_.end()) return;  // ACKed meanwhile
-    const Op& slot = gp->slots[seq & 1];
+    const Op* slot = gp->window.find(seq);
     const std::int64_t value =
-        slot.in_use && slot.seq == seq && slot.sent_values.contains(key)
-            ? slot.sent_values.at(key)
+        slot != nullptr && slot->state.sent_values.contains(key)
+            ? slot->state.sent_values.at(key)
             : 0;
     send_msg(*gp, seq, coll::Edge{rit->second.peer_rank, rit->second.tag}, true, value);
     arm_msg_timer(gp, key, seq);
@@ -257,15 +191,13 @@ void CollectiveEngine::arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t
 }
 
 void CollectiveEngine::finish_op(Group& g, Op& op) {
-  assert(!op.complete);
-  op.complete = true;
   ++stats_.ops_completed;
-  nic_.engine().cancel(op.nack_timer);
+  nic_.engine().cancel(op.state.nack_timer);
   nic_.trace("coll_complete", g.desc.group_id, op.seq);
   // One completion word DMAed to host memory — the only PCI traffic on the
   // completion path of a NIC-based collective.
-  auto done = std::move(op.done);
-  op.done = nullptr;
+  auto done = std::move(op.state.done);
+  op.state.done = nullptr;
   const std::int64_t result = op.acc;
   // The completion DMA delivers the result payload to host memory (one
   // word for the classic collectives, the gathered data for larger ones).
@@ -286,7 +218,7 @@ void CollectiveEngine::arm_nack_timer(Group& g, Op& op) {
   Group* gp = &g;
   Op* opp = &op;
   const std::uint32_t armed_seq = op.seq;
-  op.nack_timer = nic_.engine().schedule(cfg_.nack_timeout, [this, gp, opp, armed_seq] {
+  op.state.nack_timer = nic_.engine().schedule(cfg_.nack_timeout, [this, gp, opp, armed_seq] {
     if (!opp->in_use || opp->seq != armed_seq || opp->complete || !opp->active) return;
     for (const coll::Edge& miss : opp->exec->missing_current_waits()) {
       const int peer_node = gp->desc.rank_to_node->at(static_cast<std::size_t>(miss.peer));
@@ -366,31 +298,13 @@ bool CollectiveEngine::on_packet(net::Packet&& p) {
 
 void CollectiveEngine::deliver_arrival(Group& g, std::uint32_t seq, int peer_rank,
                                        std::uint32_t tag, std::int64_t value) {
-  Op& slot = g.slots[seq & 1];
-  if (slot.in_use && slot.seq == seq) {
-    if (slot.complete) {
-      ++stats_.stale_dropped;  // late retransmission of a finished operation
-      return;
-    }
-    if (slot.active) {
-      slot.wait_values.emplace(edge_key(peer_rank, tag), value);
-      if (!slot.exec->on_arrival(peer_rank, tag)) ++stats_.duplicates;
-    } else {
-      ++stats_.early_buffered;
-      slot.early.push_back({peer_rank, tag, value});
-    }
-    return;
+  switch (g.window.arrive(seq, peer_rank, tag, value)) {
+    case core::Arrival::kDelivered: break;
+    case core::Arrival::kDuplicate: ++stats_.duplicates; break;
+    case core::Arrival::kEarly: ++stats_.early_buffered; break;
+    // Late retransmission of a finished operation.
+    case core::Arrival::kStale: ++stats_.stale_dropped; break;
   }
-  if (slot.in_use && seq < slot.seq) {
-    ++stats_.stale_dropped;
-    return;
-  }
-  // Arrival for an operation this host has not started: claim the slot and
-  // buffer (the peer raced ahead by one operation).
-  bool fresh = false;
-  Op& op = touch_slot(g, seq, fresh);
-  ++stats_.early_buffered;
-  op.early.push_back({peer_rank, tag, value});
 }
 
 void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
@@ -402,17 +316,17 @@ void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
              core::BarrierTag::encode(n.group, n.barrier_seq, n.tag),
              static_cast<std::int64_t>(flow));
   const coll::Edge edge{static_cast<int>(n.dst_rank), n.tag};
-  Op& slot = g.slots[n.barrier_seq & 1];
-  if (slot.in_use && slot.seq == n.barrier_seq && slot.exec) {
+  Op* slot = g.window.find(n.barrier_seq);
+  if (slot != nullptr && slot->exec) {
     const std::uint64_t key = msg_key(n.group, n.barrier_seq, n.tag, edge.peer);
-    if (slot.exec->has_sent(edge.peer, edge.tag)) {
+    if (slot->exec->has_sent(edge.peer, edge.tag)) {
       if (g.desc.features.debug_skip_retransmit) return;  // fuzzer's planted bug
-      send_msg(g, n.barrier_seq, edge, true, slot.sent_values.at(key));
+      send_msg(g, n.barrier_seq, edge, true, slot->state.sent_values.at(key));
     }
     // Not sent yet: we are behind; the normal send will cover it.
     return;
   }
-  if (g.desc.op_kind == CollOpKind::kBarrier && n.barrier_seq < g.next_host_seq) {
+  if (g.desc.op_kind == CollOpKind::kBarrier && n.barrier_seq < g.window.next_seq()) {
     // The slot was recycled but barrier messages carry no data: the packet
     // is fully reconstructible from the NACK itself. (Value-carrying kinds
     // never need this path — a sender two operations ahead proves the

@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/group_window.hpp"
 #include "core/schedule.hpp"
 #include "myrinet/nic.hpp"
 #include "myrinet/packets.hpp"
@@ -110,32 +111,26 @@ class CollectiveEngine {
   [[nodiscard]] bool has_group(std::uint32_t group) const { return groups_.contains(group); }
 
  private:
-  struct EarlyArrival {
-    int peer_rank;
-    std::uint32_t tag;
-    std::int64_t value;
-  };
-
-  struct Op {
-    std::uint32_t seq = 0;
-    bool in_use = false;     // slot bound to `seq`
-    bool active = false;     // host has entered
-    bool complete = false;
-    std::int64_t acc = 0;    // value accumulator (non-barrier kinds)
-    std::unique_ptr<coll::ScheduleExecutor> exec;
-    std::vector<EarlyArrival> early;
-    std::unordered_map<std::uint64_t, std::int64_t> sent_values;  // for NACK resends
-    std::unordered_map<std::uint64_t, std::int64_t> wait_values;  // folded at step consumption
+  // Per-operation engine state riding in the group window's slots.
+  struct Slot {
     std::function<void(std::int64_t)> done;
-    sim::EventId nack_timer;
+    std::unordered_map<std::uint64_t, std::int64_t> sent_values;  // for NACK resends
+    sim::EventId nack_timer;  // dead by the time a slot recycles (finish_op cancels)
+    void clear() {
+      done = nullptr;
+      sent_values.clear();
+    }
   };
+  using Window = core::GroupWindow<Slot>;
+  using Op = Window::Op;
 
   struct Group {
+    explicit Group(GroupDesc d)
+        : desc(std::move(d)), window(desc.schedule, desc.op_kind, desc.reduce_op) {}
     GroupDesc desc;
-    std::uint32_t next_host_seq = 0;  // next operation the host will enter
     // Two-deep operation window: consecutive barriers overlap by at most
     // one (a peer can race one operation ahead, never two — see tests).
-    Op slots[2];
+    Window window;
   };
 
   // Ablation-only per-message reliability record (receiver_driven = false).
@@ -148,14 +143,10 @@ class CollectiveEngine {
   };
 
   Group& group_of(std::uint32_t id);
-  Op& touch_slot(Group& g, std::uint32_t seq, bool& fresh);
-  void activate(Group& g, Op& op);
   void deliver_arrival(Group& g, std::uint32_t seq, int peer_rank, std::uint32_t tag,
                        std::int64_t value);
   void send_msg(Group& g, std::uint32_t seq, const coll::Edge& e, bool is_retransmit,
                 std::int64_t value);
-  [[nodiscard]] static std::int64_t combine(const GroupDesc& desc, std::uint32_t tag,
-                                            std::int64_t acc, std::int64_t incoming);
   [[nodiscard]] std::uint32_t wire_bytes_for(const GroupDesc& desc, std::uint32_t tag,
                                              std::int64_t value) const;
   void finish_op(Group& g, Op& op);
@@ -167,9 +158,6 @@ class CollectiveEngine {
   [[nodiscard]] std::uint32_t recv_cycles(const CollFeatures& f) const;
   [[nodiscard]] static std::uint64_t msg_key(std::uint32_t group, std::uint32_t seq,
                                              std::uint32_t tag, int peer);
-  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
-  }
 
   Nic& nic_;
   const LanaiConfig& cfg_;

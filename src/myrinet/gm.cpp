@@ -53,6 +53,10 @@ void GmPort::add_collective_handler(std::uint32_t group,
   group_handlers_[group & core::BarrierTag::kGroupMask] = std::move(fn);
 }
 
+void GmPort::remove_collective_handler(std::uint32_t group) {
+  group_handlers_.erase(group & core::BarrierTag::kGroupMask);
+}
+
 void GmPort::barrier_enter(std::uint32_t group, sim::EventCallback done) {
   host_cpu_.exec(host_.send_post, [this, group, done = std::move(done)]() mutable {
     nic_.pci().pio_write([this, group, done = std::move(done)]() mutable {

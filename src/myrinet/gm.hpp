@@ -42,6 +42,7 @@ class GmPort {
   /// (BarrierTag-encoded GM tags). Several groups can coexist on one port;
   /// the port demultiplexes on the tag's group field.
   void add_collective_handler(std::uint32_t group, std::function<void(const RecvEvent&)> fn);
+  void remove_collective_handler(std::uint32_t group);
 
   /// Registers a collective group on this node's NIC.
   void create_group(GroupDesc desc) { coll_.create_group(std::move(desc)); }

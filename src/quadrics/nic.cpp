@@ -113,27 +113,8 @@ void Nic::create_barrier_group(ElanGroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
     throw std::invalid_argument("elan barrier group id already registered");
   }
-  Group g;
-  g.desc = std::move(desc);
-  groups_.emplace(g.desc.group_id, std::move(g));
-}
-
-Nic::Op& Nic::touch_slot(Group& g, std::uint32_t seq) {
-  Op& op = g.slots[seq & 1];
-  if (op.in_use && op.seq == seq) return op;
-  if (op.in_use && !op.complete) {
-    throw std::logic_error("elan barrier window violated: operation overtaken by seq+2");
-  }
-  if (op.exec) op.exec->reset();
-  op.early.clear();
-  op.wait_values.clear();
-  op.seq = seq;
-  op.in_use = true;
-  op.active = false;
-  op.complete = false;
-  op.acc = 0;
-  op.done = nullptr;
-  return op;
+  const std::uint32_t id = desc.group_id;
+  groups_.try_emplace(id, std::move(desc));
 }
 
 void Nic::barrier_enter(std::uint32_t group, sim::EventCallback done) {
@@ -151,47 +132,14 @@ void Nic::collective_enter(std::uint32_t group, std::int64_t value,
     auto it = groups_.find(group);
     assert(it != groups_.end() && "collective_enter on unknown group");
     Group& g = it->second;
-    const std::uint32_t seq = g.next_host_seq++;
-    Op& op = touch_slot(g, seq);
-    op.done = std::move(done);
-    op.acc = value;
-    activate(g, op);
-  });
-}
-
-void Nic::activate(Group& g, Op& op) {
-  op.active = true;
-  if (!op.exec) {
+    Op& op = g.window.enter(value);
+    op.state.done = std::move(done);
     Group* gp = &g;
-    Op* opp = &op;
-    op.exec = std::make_unique<coll::ScheduleExecutor>(
-        g.desc.schedule,
-        [this, gp, opp](const coll::Edge& e) { barrier_send(*gp, opp->seq, e, opp->acc); },
-        [this, gp, opp] { finish_barrier(*gp, *opp); });
-    // Payloads fold into the accumulator as their step is consumed (never
-    // at arrival time), matching the Myrinet engine's semantics.
-    op.exec->set_step_consumer([gp, opp](const coll::Step& st) {
-      for (const coll::Edge& w : st.waits) {
-        const auto it = opp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != opp->wait_values.end()) {
-          opp->acc = coll::combine_value(gp->desc.op_kind, gp->desc.reduce_op, w.tag,
-                                         opp->acc, it->second);
-        }
-      }
-    });
-  }
-  trace("barrier_enter", g.desc.group_id, op.seq);
-  for (const EarlyArrival& ea : op.early) {
-    op.wait_values.emplace(edge_key(ea.peer_rank, ea.tag), ea.value);
-  }
-  op.exec->start();
-  if (!op.complete) {
-    for (const EarlyArrival& ea : op.early) {
-      op.exec->on_arrival(ea.peer_rank, ea.tag);
-      if (op.complete) break;
-    }
-  }
-  op.early.clear();
+    g.window.start(
+        op, [this, gp](Op& o, const coll::Edge& e) { barrier_send(*gp, o.seq, e, o.acc); },
+        [this, gp](Op& o) { finish_barrier(*gp, o); },
+        [this, gp](Op& o) { trace("barrier_enter", gp->desc.group_id, o.seq); });
+  });
 }
 
 void Nic::barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e,
@@ -221,31 +169,18 @@ void Nic::handle_barrier_event(const ElanRdma& r) {
   auto it = groups_.find(r.group);
   if (it == groups_.end()) return;
   Group& g = it->second;
-  Op& slot = g.slots[r.seq & 1];
-  if (slot.in_use && slot.seq == r.seq) {
-    if (slot.complete) return;  // hardware-reliable network: cannot happen
-    if (slot.active) {
-      slot.wait_values.emplace(edge_key(static_cast<int>(r.src_rank), r.tag), r.value);
-      slot.exec->on_arrival(static_cast<int>(r.src_rank), r.tag);
-    } else {
-      ++stats_.early_buffered;
-      slot.early.push_back({static_cast<int>(r.src_rank), r.tag, r.value});
-    }
-    return;
+  // Hardware-reliable network: nothing arrives twice or after completion.
+  if (g.window.arrive(r.seq, static_cast<int>(r.src_rank), r.tag, r.value) ==
+      core::Arrival::kEarly) {
+    ++stats_.early_buffered;
   }
-  if (slot.in_use && r.seq < slot.seq) return;  // stale
-  Op& op = touch_slot(g, r.seq);
-  ++stats_.early_buffered;
-  op.early.push_back({static_cast<int>(r.src_rank), r.tag, r.value});
 }
 
 void Nic::finish_barrier(Group& g, Op& op) {
-  assert(!op.complete);
-  op.complete = true;
   ++stats_.barrier_ops_completed;
   trace("barrier_complete", g.desc.group_id, op.seq);
-  auto done = std::move(op.done);
-  op.done = nullptr;
+  auto done = std::move(op.state.done);
+  op.state.done = nullptr;
   const std::int64_t result = op.acc;
   // The final chained descriptor fires a *local* event whose word DMAs to
   // host memory, carrying the operation's result.

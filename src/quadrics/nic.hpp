@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/group_window.hpp"
 #include "core/schedule.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
@@ -106,35 +107,17 @@ class Nic {
              std::int64_t flow = 0);
 
  private:
-  struct EarlyArrival {
-    int peer_rank;
-    std::uint32_t tag;
-    std::int64_t value;
-  };
-  struct Op {
-    std::uint32_t seq = 0;
-    bool in_use = false;
-    bool active = false;
-    bool complete = false;
-    std::int64_t acc = 0;
-    std::unique_ptr<coll::ScheduleExecutor> exec;
-    std::vector<EarlyArrival> early;
-    std::unordered_map<std::uint64_t, std::int64_t> wait_values;
-    std::function<void(std::int64_t)> done;
-  };
+  using Window = core::GroupWindow<core::DoneSlot>;
+  using Op = Window::Op;
   struct Group {
+    explicit Group(ElanGroupDesc d)
+        : desc(std::move(d)), window(desc.schedule, desc.op_kind, desc.reduce_op) {}
     ElanGroupDesc desc;
-    std::uint32_t next_host_seq = 0;
-    Op slots[2];
+    Window window;
   };
 
-  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
-  }
   void on_packet(net::Packet&& p);
   void handle_barrier_event(const ElanRdma& r);
-  Op& touch_slot(Group& g, std::uint32_t seq);
-  void activate(Group& g, Op& op);
   void barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e, std::int64_t value);
   void finish_barrier(Group& g, Op& op);
 

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -61,6 +65,26 @@ struct ArCase {
   int n;
   coll::ReduceOp op;
 };
+
+// gtest appends "# GetParam() = <PrintTo output>" to each case's full name.
+// Its fallback printer dumps the struct's bytes, padding included, and the
+// padding is uninitialised, so some names changed from run to run. This
+// prints the same dump with the padding as zero: every name is stable, and
+// the ones whose padding already happened to be zero keep their spelling.
+void PrintTo(const ArCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(ArCase)] = {};
+  std::memcpy(bytes + offsetof(ArCase, nic), &c.nic, sizeof c.nic);
+  std::memcpy(bytes + offsetof(ArCase, n), &c.n, sizeof c.n);
+  std::memcpy(bytes + offsetof(ArCase, op), &c.op, sizeof c.op);
+  *os << sizeof(ArCase) << "-byte object <";
+  for (std::size_t i = 0; i < sizeof bytes; ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    char hex[3];
+    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
 
 class AllreduceSweep : public ::testing::TestWithParam<ArCase> {};
 

@@ -1,8 +1,10 @@
-#include "core/op_window.hpp"
-
+// The two-deep operation window (core::GroupWindow), driven directly.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "window_harness.hpp"
 
 namespace qmb::core {
 namespace {
@@ -17,12 +19,12 @@ struct Harness {
   coll::GroupSchedule schedule;
   std::vector<Sent> sent;
   std::vector<std::pair<std::uint32_t, std::int64_t>> completed;
-  std::unique_ptr<OpWindow> window;
+  std::unique_ptr<WindowHarness> window;
 
   explicit Harness(int n, int rank, coll::OpKind kind = coll::OpKind::kBarrier,
                    coll::Algorithm alg = coll::Algorithm::kDissemination) {
     schedule = coll::make_barrier_schedule(alg, n);
-    window = std::make_unique<OpWindow>(
+    window = std::make_unique<WindowHarness>(
         schedule.ranks[static_cast<std::size_t>(rank)],
         [this](std::uint32_t seq, const coll::Edge& e, std::int64_t v) {
           sent.push_back({seq, e, v});
@@ -96,7 +98,7 @@ TEST(OpWindow, EarlyValueNotFoldedIntoSameStepSend) {
   // carry only our own contribution.
   coll::GroupSchedule g = coll::make_barrier_schedule(coll::Algorithm::kPairwiseExchange, 4);
   std::vector<Sent> sent;
-  OpWindow w(
+  WindowHarness w(
       g.ranks[0],
       [&](std::uint32_t seq, const coll::Edge& e, std::int64_t v) {
         sent.push_back({seq, e, v});
@@ -118,6 +120,62 @@ TEST(OpWindow, NextSeqAdvances) {
   EXPECT_EQ(h.window->next_seq(), 0u);
   h.window->start();
   EXPECT_EQ(h.window->next_seq(), 1u);
+}
+
+
+TEST(GroupWindow, ClassifiesEveryArrival) {
+  Harness h(4, 0);
+  // Rank 0 of a 4-rank dissemination waits on rank 3 (tag 0), then rank 2.
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kEarly);  // not started yet
+  h.window->start();
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kDuplicate);  // replayed already
+  EXPECT_EQ(h.window->on_arrival(1, 3, 0), Arrival::kEarly);      // peer one op ahead
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1), Arrival::kDelivered);
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1), Arrival::kStale);  // op 0 completed
+  h.window->start();  // op 1
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1), Arrival::kStale);  // slot 0 not yet recycled
+  EXPECT_EQ(h.window->on_arrival(1, 2, 1), Arrival::kDelivered);
+  h.window->start();  // op 2 recycles slot 0
+  EXPECT_EQ(h.window->on_arrival(0, 3, 0), Arrival::kStale);  // older than the slot's op
+}
+
+TEST(GroupWindow, StartCountsReplayedDuplicates) {
+  Harness h(4, 0);
+  h.window->on_arrival(0, 3, 0);
+  h.window->on_arrival(0, 3, 0);  // the same edge buffered twice
+  h.window->start();
+  EXPECT_EQ(h.window->last_start_duplicates(), 1);
+}
+
+struct CountingSlot {
+  int uses = 0;
+  void clear() { uses = 0; }
+};
+
+TEST(GroupWindow, HooksRunInOrderAndSlotStateClearsOnRecycle) {
+  const coll::GroupSchedule g = coll::make_barrier_schedule(coll::Algorithm::kDissemination, 2);
+  GroupWindow<CountingSlot> w(g.ranks[0], coll::OpKind::kBarrier, coll::ReduceOp::kSum);
+  using Op = GroupWindow<CountingSlot>::Op;
+  std::string log;
+  const auto run_op = [&] {
+    Op& op = w.enter(0);
+    ++op.state.uses;
+    w.start(
+        op, [&](Op& o, const coll::Edge&) { log += "send" + std::to_string(o.seq) + " "; },
+        [&](Op& o) {
+          EXPECT_TRUE(o.complete);
+          log += "done" + std::to_string(o.seq) + " ";
+        },
+        [&](Op& o) { log += "start" + std::to_string(o.seq) + " "; });
+    w.arrive(op.seq, 1, 0, 0);
+    return op.state.uses;
+  };
+  EXPECT_EQ(run_op(), 1);
+  EXPECT_EQ(run_op(), 1);
+  EXPECT_EQ(run_op(), 1);  // slot 0 again: its state was cleared, not carried
+  EXPECT_EQ(log, "start0 send0 done0 start1 send1 done1 start2 send2 done2 ");
+  ASSERT_NE(w.find(2), nullptr);
+  EXPECT_EQ(w.find(0), nullptr);
 }
 
 }  // namespace

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "core/op_window.hpp"
 #include "core/schedule.hpp"
 #include "sim/rng.hpp"
+#include "window_harness.hpp"
 
 namespace qmb::coll {
 namespace {
@@ -34,11 +34,11 @@ std::vector<std::int64_t> run_shuffled(const GroupSchedule& g, OpKind kind, Redu
                                        sim::Rng& rng) {
   const int n = g.size;
   std::vector<std::int64_t> results(static_cast<std::size_t>(n), -999);
-  std::vector<std::unique_ptr<core::OpWindow>> windows(static_cast<std::size_t>(n));
+  std::vector<std::unique_ptr<core::WindowHarness>> windows(static_cast<std::size_t>(n));
   std::deque<WireMsg> wire;
 
   for (int r = 0; r < n; ++r) {
-    windows[static_cast<std::size_t>(r)] = std::make_unique<core::OpWindow>(
+    windows[static_cast<std::size_t>(r)] = std::make_unique<core::WindowHarness>(
         g.ranks[static_cast<std::size_t>(r)],
         [&wire, r](std::uint32_t, const Edge& e, std::int64_t v) {
           wire.push_back({r, e.peer, e.tag, v});
@@ -167,7 +167,7 @@ TEST(OrderInvariance, TwoOverlappingOperationsStayIsolated) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     sim::Rng rng(seed);
     std::vector<std::vector<std::int64_t>> results(2);
-    std::vector<std::unique_ptr<core::OpWindow>> windows(n);
+    std::vector<std::unique_ptr<core::WindowHarness>> windows(n);
     struct SeqMsg {
       std::uint32_t seq;
       int src, dst;
@@ -176,7 +176,7 @@ TEST(OrderInvariance, TwoOverlappingOperationsStayIsolated) {
     };
     std::deque<SeqMsg> wire;
     for (int r = 0; r < n; ++r) {
-      windows[static_cast<std::size_t>(r)] = std::make_unique<core::OpWindow>(
+      windows[static_cast<std::size_t>(r)] = std::make_unique<core::WindowHarness>(
           g.ranks[static_cast<std::size_t>(r)],
           [&wire, r](std::uint32_t seq, const Edge& e, std::int64_t v) {
             wire.push_back({seq, r, e.peer, e.tag, v});
