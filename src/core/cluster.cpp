@@ -2,18 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/host_executor.hpp"
-#include "core/ib_barriers.hpp"
 #include "core/myri_barriers.hpp"
 #include "core/quadrics_barriers.hpp"
 #include "net/fat_tree.hpp"
 #include "net/topology.hpp"
 
 namespace qmb::core {
+
+namespace {
+
+/// The CollSpec of a schedule-driven barrier.
+coll::CollSpec barrier_spec(coll::Engine engine, coll::Algorithm algorithm, int radix,
+                            std::vector<int> rank_to_node) {
+  coll::CollSpec spec;
+  spec.engine = engine;
+  spec.algorithm = algorithm;
+  spec.radix = radix;
+  spec.rank_to_node = std::move(rank_to_node);
+  return spec;
+}
+
+}  // namespace
 
 MyriCluster::MyriCluster(sim::Engine& engine, const myri::MyrinetConfig& config,
                          int nodes, sim::Tracer* tracer, int engine_domains)
@@ -45,20 +60,17 @@ std::unique_ptr<Barrier> MyriCluster::make_barrier(MyriBarrierKind kind,
                                                    coll::Algorithm algorithm,
                                                    std::vector<int> rank_to_node,
                                                    myri::CollFeatures features, int radix) {
-  if (rank_to_node.empty()) rank_to_node = identity_placement(size());
-  const auto schedule = coll::make_barrier_schedule(
-      algorithm, static_cast<int>(rank_to_node.size()), radix);
-  switch (kind) {
-    case MyriBarrierKind::kHost:
-      return make_host_barrier(*this, schedule, std::move(rank_to_node),
-                               "myri-host-" + std::string(coll::to_string(schedule.algorithm)));
-    case MyriBarrierKind::kNicDirect:
-      return std::make_unique<MyriDirectNicBarrier>(*this, schedule, std::move(rank_to_node));
-    case MyriBarrierKind::kNicCollective:
-      return std::make_unique<MyriNicBarrier>(*this, schedule, std::move(rank_to_node),
-                                              features);
+  if (kind == MyriBarrierKind::kNicDirect) {
+    if (rank_to_node.empty()) rank_to_node = identity_placement(size());
+    const auto schedule = coll::make_barrier_schedule(
+        algorithm, static_cast<int>(rank_to_node.size()), radix);
+    return std::make_unique<Barrier>(
+        std::make_unique<MyriDirectNicBarrier>(*this, schedule, std::move(rank_to_node)));
   }
-  throw std::invalid_argument("unknown Myrinet barrier kind");
+  const coll::Engine engine =
+      kind == MyriBarrierKind::kHost ? coll::Engine::kHost : coll::Engine::kNic;
+  return std::make_unique<Barrier>(make_collective(
+      *this, barrier_spec(engine, algorithm, radix, std::move(rank_to_node)), features));
 }
 
 ElanCluster::ElanCluster(sim::Engine& engine, const elan::Elan3Config& config,
@@ -82,23 +94,23 @@ std::unique_ptr<Barrier> ElanCluster::make_barrier(ElanBarrierKind kind,
                                                    coll::Algorithm algorithm,
                                                    std::vector<int> rank_to_node,
                                                    int gsync_tree_degree, int radix) {
-  if (rank_to_node.empty()) rank_to_node = identity_placement(size());
   switch (kind) {
     case ElanBarrierKind::kGsyncTree: {
       // elan_gsync() with hardware broadcast disabled: a host-level
       // gather-broadcast tree over tagged puts.
-      const auto schedule = coll::make_barrier_schedule(
-          coll::Algorithm::kGatherBroadcast, static_cast<int>(rank_to_node.size()),
-          gsync_tree_degree);
-      return make_host_barrier(*this, schedule, std::move(rank_to_node), "elan-gsync-tree");
+      if (rank_to_node.empty()) rank_to_node = identity_placement(size());
+      return std::make_unique<Barrier>(make_host_collective(
+          *this,
+          barrier_spec(coll::Engine::kHost, coll::Algorithm::kGatherBroadcast,
+                       gsync_tree_degree, {}),
+          std::move(rank_to_node), "elan-gsync-tree"));
     }
     case ElanBarrierKind::kHardware:
-      return std::make_unique<ElanHwBarrier>(*this);
-    case ElanBarrierKind::kNicChained: {
-      const auto schedule = coll::make_barrier_schedule(
-          algorithm, static_cast<int>(rank_to_node.size()), radix);
-      return std::make_unique<ElanNicBarrier>(*this, schedule, std::move(rank_to_node));
-    }
+      return std::make_unique<Barrier>(std::make_unique<ElanHwBarrier>(*this));
+    case ElanBarrierKind::kNicChained:
+      return std::make_unique<Barrier>(make_collective(
+          *this,
+          barrier_spec(coll::Engine::kNic, algorithm, radix, std::move(rank_to_node))));
   }
   throw std::invalid_argument("unknown Quadrics barrier kind");
 }
@@ -129,17 +141,10 @@ IbCluster::IbCluster(sim::Engine& engine, const ib::IbConfig& config, int nodes,
 std::unique_ptr<Barrier> IbCluster::make_barrier(IbBarrierKind kind,
                                                  coll::Algorithm algorithm,
                                                  std::vector<int> rank_to_node, int radix) {
-  if (rank_to_node.empty()) rank_to_node = identity_placement(size());
-  const auto schedule = coll::make_barrier_schedule(
-      algorithm, static_cast<int>(rank_to_node.size()), radix);
-  switch (kind) {
-    case IbBarrierKind::kHost:
-      return make_host_barrier(*this, schedule, std::move(rank_to_node),
-                               "ib-host-" + std::string(coll::to_string(schedule.algorithm)));
-    case IbBarrierKind::kNicCollective:
-      return std::make_unique<IbNicBarrier>(*this, schedule, std::move(rank_to_node));
-  }
-  throw std::invalid_argument("unknown IB barrier kind");
+  const coll::Engine engine =
+      kind == IbBarrierKind::kHost ? coll::Engine::kHost : coll::Engine::kNic;
+  return std::make_unique<Barrier>(make_collective(
+      *this, barrier_spec(engine, algorithm, radix, std::move(rank_to_node))));
 }
 
 std::vector<int> identity_placement(int n) {
@@ -155,144 +160,157 @@ std::vector<int> random_placement(int n, sim::Rng& rng) {
   return v;
 }
 
+namespace {
+
+/// One run_consecutive_ops invocation. The completion callbacks capture
+/// only (this, rank, iteration), so they fit std::function's inline buffer.
+class OpRunner {
+ public:
+  OpRunner(sim::Engine& engine, Collective& op, const OpRunPlan& plan)
+      : engine_(engine),
+        op_(op),
+        plan_(plan),
+        n_(op.size()),
+        total_(plan.warmup + plan.iters),
+        expected_(expected_collective_result(op.kind(), n_)),
+        rank_iter_(static_cast<std::size_t>(n_), 0),
+        completion_(static_cast<std::size_t>(n_) * static_cast<std::size_t>(total_)),
+        rank_errors_(static_cast<std::size_t>(n_), 0),
+        skew_rng_(plan.skew_seed) {
+    assert(total_ > 0);
+    assert((engine.domains() == 1 || plan.rank_domain != nullptr) &&
+           "sharded engines need the rank -> domain map");
+  }
+
+  BarrierRunResult run() {
+    for (int r = 0; r < n_; ++r) {
+      if (plan_.rank_domain != nullptr) {
+        // Direct-call entry inside the rank's domain: everything the
+        // protocol schedules from here lands on the right shard, with no
+        // extra event (event counts must match the sequential run).
+        sim::Engine::DomainScope scope(engine_,
+                                       (*plan_.rank_domain)[static_cast<std::size_t>(r)]);
+        enter_next(r);
+      } else {
+        enter_next(r);
+      }
+    }
+    // Watchdog: a protocol bug that retransmits forever would otherwise
+    // spin the engine indefinitely.
+    engine_.run_until(engine_.now() + plan_.horizon);
+    check_complete();
+
+    BarrierRunResult res;
+    res.iterations = static_cast<std::uint64_t>(plan_.iters);
+    for (const std::uint64_t e : rank_errors_) res.value_errors += e;
+    sim::SimTime prev = sim::SimTime::zero();
+    for (int i = 0; i < total_; ++i) {
+      // The instant the sequential runner saw the n-th rank finish.
+      sim::SimTime complete = sim::SimTime::zero();
+      for (int r = 0; r < n_; ++r) complete = std::max(complete, slot(r, i));
+      if (i >= plan_.warmup) res.per_iteration.add(complete - prev);
+      prev = complete;
+    }
+    res.mean = res.per_iteration.mean();
+    return res;
+  }
+
+ private:
+  // Rank-private completion slot: written exactly once, by the owning
+  // rank's completion callback — i.e. from its own engine domain.
+  sim::SimTime& slot(int rank, int it) {
+    return completion_[static_cast<std::size_t>(rank) * static_cast<std::size_t>(total_) +
+                       static_cast<std::size_t>(it)];
+  }
+
+  void enter_next(int rank) {
+    const int it = rank_iter_[static_cast<std::size_t>(rank)];
+    if (it >= total_) return;
+    if (plan_.skew_max > sim::SimDuration::zero()) {
+      const auto jitter = sim::SimDuration(static_cast<std::int64_t>(
+          skew_rng_.next_below(static_cast<std::uint64_t>(plan_.skew_max.picos()) + 1)));
+      engine_.schedule(jitter, [this, rank, it] { enter(rank, it); });
+    } else {
+      // No extra event: the skew-free path stays bit-identical to specs
+      // that predate entry skew.
+      enter(rank, it);
+    }
+  }
+
+  void enter(int rank, int it) {
+    const std::int64_t value = op_.kind() == coll::OpKind::kBarrier ? 0 : rank + 1;
+    if (!plan_.overlap) {
+      op_.enter(rank, value, [this, rank, it](std::int64_t result) { done(rank, it, result); });
+      return;
+    }
+    // Split phase: start the protocol, compute for `overlap`, then wait.
+    // The protocol progresses underneath the simulated computation; the
+    // wait only pays whatever latency the compute did not cover.
+    op_.start(rank, value);
+    engine_.schedule(*plan_.overlap, [this, rank, it] {
+      op_.wait(rank, [this, rank, it](std::int64_t result) { done(rank, it, result); });
+    });
+  }
+
+  void done(int rank, int it, std::int64_t result) {
+    if (result != expected_) ++rank_errors_[static_cast<std::size_t>(rank)];
+    rank_iter_[static_cast<std::size_t>(rank)] = it + 1;
+    slot(rank, it) = engine_.now();
+    // Decouple re-entry from the completion callback so trivially-
+    // completing operations cannot recurse the host stack.
+    engine_.schedule(sim::SimDuration::zero(), [this, rank] { enter_next(rank); });
+  }
+
+  void check_complete() const {
+    int unfinished = 0;
+    int first = -1;
+    for (int r = 0; r < n_; ++r) {
+      if (rank_iter_[static_cast<std::size_t>(r)] == total_) continue;
+      if (first < 0) first = r;
+      ++unfinished;
+    }
+    if (unfinished == 0) return;
+    throw std::runtime_error(
+        std::string(coll::to_string(op_.kind())) + " run did not complete: " +
+        std::to_string(unfinished) + " of " + std::to_string(n_) +
+        " ranks unfinished; first is rank " + std::to_string(first) + " after " +
+        std::to_string(rank_iter_[static_cast<std::size_t>(first)]) + " of " +
+        std::to_string(total_) + " iterations");
+  }
+
+  sim::Engine& engine_;
+  Collective& op_;
+  const OpRunPlan& plan_;
+  int n_;
+  int total_;
+  std::int64_t expected_;
+  std::vector<int> rank_iter_;
+  std::vector<sim::SimTime> completion_;
+  std::vector<std::uint64_t> rank_errors_;
+  sim::Rng skew_rng_;
+};
+
+}  // namespace
+
+BarrierRunResult run_consecutive_ops(sim::Engine& engine, Collective& op,
+                                     const OpRunPlan& plan) {
+  return OpRunner(engine, op, plan).run();
+}
+
 BarrierRunResult run_consecutive_barriers(sim::Engine& engine, Barrier& barrier,
                                           int warmup, int iters,
                                           sim::SimDuration max_skew,
                                           std::uint64_t skew_seed,
                                           sim::SimDuration horizon,
                                           const std::vector<int>* rank_domain) {
-  const int n = barrier.size();
-  const int total = warmup + iters;
-  assert(total > 0);
-  assert((engine.domains() == 1 || rank_domain != nullptr) &&
-         "sharded engines need the rank -> domain map");
-
-  std::vector<int> rank_iter(static_cast<std::size_t>(n), 0);
-  // Completion matrix, one row per rank: each slot is written exactly once,
-  // by the owning rank's completion callback — i.e. from its own engine
-  // domain — so parallel windows never race on it. The per-iteration
-  // completion instant (the time the sequential runner saw the n-th rank
-  // finish) is recovered below as the row-wise max.
-  std::vector<sim::SimTime> completion(static_cast<std::size_t>(n) *
-                                       static_cast<std::size_t>(total));
-  sim::Rng skew_rng(skew_seed);
-
-  std::function<void(int)> enter_next = [&](int rank) {
-    const int it = rank_iter[static_cast<std::size_t>(rank)];
-    if (it >= total) return;
-    const auto enter = [&, rank, it] {
-      barrier.enter(rank, [&, rank, it] {
-        rank_iter[static_cast<std::size_t>(rank)] = it + 1;
-        completion[static_cast<std::size_t>(rank) * static_cast<std::size_t>(total) +
-                   static_cast<std::size_t>(it)] = engine.now();
-        // Decouple re-entry from the completion callback so trivially-
-        // completing barriers cannot recurse the host stack.
-        engine.schedule(sim::SimDuration::zero(),
-                        [&enter_next, rank] { enter_next(rank); });
-      });
-    };
-    if (max_skew > sim::SimDuration::zero()) {
-      const auto jitter = sim::SimDuration(static_cast<std::int64_t>(
-          skew_rng.next_below(static_cast<std::uint64_t>(max_skew.picos()) + 1)));
-      engine.schedule(jitter, enter);
-    } else {
-      // No extra event: the skew-free path stays bit-identical to specs
-      // that predate entry skew.
-      enter();
-    }
-  };
-  for (int r = 0; r < n; ++r) {
-    if (rank_domain != nullptr) {
-      // Direct-call entry inside the rank's domain: everything the protocol
-      // schedules from here lands on the right shard, with no extra event
-      // (event counts must match the sequential run exactly).
-      sim::Engine::DomainScope scope(engine, (*rank_domain)[static_cast<std::size_t>(r)]);
-      enter_next(r);
-    } else {
-      enter_next(r);
-    }
-  }
-  // Watchdog: a protocol bug that retransmits forever would otherwise spin
-  // the engine indefinitely. No legitimate run needs minutes of simulated
-  // time per 10k barriers.
-  engine.run_until(engine.now() + horizon);
-
-  for (int r = 0; r < n; ++r) {
-    if (rank_iter[static_cast<std::size_t>(r)] != total) {
-      throw std::runtime_error("barrier run did not complete (deadlock in protocol?)");
-    }
-  }
-
-  BarrierRunResult res;
-  res.iterations = static_cast<std::uint64_t>(iters);
-  sim::SimTime prev = sim::SimTime::zero();
-  for (int i = 0; i < total; ++i) {
-    sim::SimTime complete = sim::SimTime::zero();
-    for (int r = 0; r < n; ++r) {
-      complete = std::max(complete,
-                          completion[static_cast<std::size_t>(r) * static_cast<std::size_t>(total) +
-                                     static_cast<std::size_t>(i)]);
-    }
-    if (i >= warmup) res.per_iteration.add(complete - prev);
-    prev = complete;
-  }
-  res.mean = res.per_iteration.mean();
-  return res;
-}
-
-BarrierRunResult run_split_phase_barriers(sim::Engine& engine, Barrier& barrier,
-                                          int warmup, int iters,
-                                          sim::SimDuration overlap,
-                                          sim::SimDuration horizon) {
-  const int n = barrier.size();
-  const int total = warmup + iters;
-  assert(total > 0);
-
-  std::vector<int> rank_iter(static_cast<std::size_t>(n), 0);
-  std::vector<sim::SimTime> completion(static_cast<std::size_t>(n) *
-                                       static_cast<std::size_t>(total));
-
-  std::function<void(int)> enter_next = [&](int rank) {
-    const int it = rank_iter[static_cast<std::size_t>(rank)];
-    if (it >= total) return;
-    // Split phase: start the protocol, compute for `overlap`, then wait.
-    // The protocol makes progress underneath the simulated computation; the
-    // wait only pays whatever latency the compute did not cover.
-    barrier.notify(rank);
-    engine.schedule(overlap, [&, rank, it] {
-      barrier.wait(rank, [&, rank, it] {
-        rank_iter[static_cast<std::size_t>(rank)] = it + 1;
-        completion[static_cast<std::size_t>(rank) * static_cast<std::size_t>(total) +
-                   static_cast<std::size_t>(it)] = engine.now();
-        engine.schedule(sim::SimDuration::zero(),
-                        [&enter_next, rank] { enter_next(rank); });
-      });
-    });
-  };
-  for (int r = 0; r < n; ++r) enter_next(r);
-  engine.run_until(engine.now() + horizon);
-
-  for (int r = 0; r < n; ++r) {
-    if (rank_iter[static_cast<std::size_t>(r)] != total) {
-      throw std::runtime_error("barrier run did not complete (deadlock in protocol?)");
-    }
-  }
-
-  BarrierRunResult res;
-  res.iterations = static_cast<std::uint64_t>(iters);
-  sim::SimTime prev = sim::SimTime::zero();
-  for (int i = 0; i < total; ++i) {
-    sim::SimTime complete = sim::SimTime::zero();
-    for (int r = 0; r < n; ++r) {
-      complete = std::max(complete,
-                          completion[static_cast<std::size_t>(r) * static_cast<std::size_t>(total) +
-                                     static_cast<std::size_t>(i)]);
-    }
-    if (i >= warmup) res.per_iteration.add(complete - prev);
-    prev = complete;
-  }
-  res.mean = res.per_iteration.mean();
-  return res;
+  OpRunPlan plan;
+  plan.warmup = warmup;
+  plan.iters = iters;
+  plan.skew_max = max_skew;
+  plan.skew_seed = skew_seed;
+  plan.horizon = horizon;
+  plan.rank_domain = rank_domain;
+  return run_consecutive_ops(engine, barrier.collective(), plan);
 }
 
 }  // namespace qmb::core

@@ -1,5 +1,5 @@
-// Cluster builders and the barrier benchmark runner — the library's main
-// entry points.
+// Cluster builders and the one benchmark runner — the library's main entry
+// points.
 //
 //   sim::Engine engine;
 //   core::MyriCluster cluster(engine, myri::lanaixp_cluster(), 8);
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/barrier.hpp"
@@ -137,43 +138,58 @@ class IbCluster {
 /// of the nodes").
 [[nodiscard]] std::vector<int> random_placement(int n, sim::Rng& rng);
 
-/// Result of a consecutive-barrier latency run (paper methodology: warm-up
-/// iterations discarded, then the average of the timed iterations).
+/// Result of a consecutive-operation latency run (paper methodology:
+/// warm-up iterations discarded, then the average of the timed iterations).
 struct BarrierRunResult {
   sim::LatencySeries per_iteration;  // steady-state completion-to-completion
   sim::SimDuration mean = sim::SimDuration::zero();
   std::uint64_t iterations = 0;
+  /// Delivered results that differed from expected_collective_result —
+  /// a protocol correctness bug, never noise.
+  std::uint64_t value_errors = 0;
 };
 
-/// Runs `warmup + iters` consecutive barriers: every rank re-enters as soon
-/// as its previous completion is delivered — or, when `max_skew` is
-/// non-zero, after a per-entry uniform delay in [0, max_skew] drawn from an
-/// RNG seeded with `skew_seed` (deterministic chaos, as the fuzzer drives).
-/// Drives the engine until every rank finished or `horizon` of simulated
-/// time elapsed, and throws std::runtime_error in the latter case.
+/// How run_consecutive_ops drives an executor.
+struct OpRunPlan {
+  int warmup = 0;
+  int iters = 1;
+  /// Per-entry skew: every (re-)entry waits a uniform draw in [0, skew_max]
+  /// from an RNG seeded with `skew_seed` (deterministic chaos, as the
+  /// fuzzer drives). Zero adds no event.
+  sim::SimDuration skew_max = sim::SimDuration::zero();
+  std::uint64_t skew_seed = 0;
+  /// Set: GASNet-style split phase — each rank start()s, simulates this
+  /// much local computation, then wait()s, so the visible cost per
+  /// iteration is max(overlap, latency) plus the non-overlapped protocol
+  /// tail. Unset: blocking enter().
+  std::optional<sim::SimDuration> overlap;
+  /// Watchdog: the run throws std::runtime_error when ranks are still
+  /// unfinished this much simulated time after it started.
+  sim::SimDuration horizon = sim::seconds(120);
+  /// Rank -> engine domain (from Fabric::domain_of over the placement);
+  /// required on a sharded (PDES) engine.
+  const std::vector<int>* rank_domain = nullptr;
+};
+
+/// THE run loop: `warmup + iters` consecutive operations of `op`. Every
+/// rank re-enters as soon as its previous completion is delivered — rank r
+/// with value r+1, or 0 for barriers — and every result is checked against
+/// expected_collective_result. The per-iteration series is the
+/// per-iteration max across ranks: the instant the n-th rank completed.
 ///
-/// On a sharded (PDES) engine, `rank_domain` (rank -> engine domain, from
-/// Fabric::domain_of over the placement) is required: initial entries are
-/// issued inside each rank's domain, and every completion lands in a
-/// rank-private slot so parallel windows never race. The per-iteration
-/// series is the per-iteration max across ranks either way — exactly the
-/// instant the sequential runner observed the n-th completion.
+/// On a sharded engine, initial entries are issued inside each rank's
+/// domain and every completion lands in a rank-private slot, so parallel
+/// windows never race. A run that does not complete throws a "did not
+/// complete" error naming the op kind, the unfinished rank count, and the
+/// first unfinished rank with its completed-iteration count.
+BarrierRunResult run_consecutive_ops(sim::Engine& engine, Collective& op,
+                                     const OpRunPlan& plan);
+
+/// run_consecutive_ops over a barrier, blocking style.
 BarrierRunResult run_consecutive_barriers(
     sim::Engine& engine, Barrier& barrier, int warmup, int iters,
     sim::SimDuration max_skew = sim::SimDuration::zero(), std::uint64_t skew_seed = 0,
     sim::SimDuration horizon = sim::seconds(120),
     const std::vector<int>* rank_domain = nullptr);
-
-/// Runs `warmup + iters` consecutive *split-phase* barriers: each rank
-/// issues notify(), simulates `overlap` of local computation, then wait()s
-/// — the GASNet notify/compute/wait idiom. The per-iteration series
-/// measures the interval between consecutive wait completions, so the
-/// visible cost per iteration is max(overlap, barrier latency) plus the
-/// non-overlapped protocol tail; with overlap zero it degenerates to the
-/// blocking runner. Horizon semantics match run_consecutive_barriers.
-BarrierRunResult run_split_phase_barriers(
-    sim::Engine& engine, Barrier& barrier, int warmup, int iters,
-    sim::SimDuration overlap,
-    sim::SimDuration horizon = sim::seconds(120));
 
 }  // namespace qmb::core

@@ -11,8 +11,6 @@ namespace qmb::core {
 
 namespace {
 
-std::string_view kind_name(coll::OpKind kind) { return coll::to_string(kind); }
-
 [[nodiscard]] std::vector<int> resolve_placement(const coll::CollSpec& spec,
                                                  int cluster_size) {
   if (!spec.rank_to_node.empty()) return spec.rank_to_node;
@@ -23,6 +21,96 @@ std::string_view kind_name(coll::OpKind kind) { return coll::to_string(kind); }
   throw std::invalid_argument(std::string(coll::to_string(kind)) +
                               " has no value-correct schedule for algorithm " +
                               std::string(coll::to_string(algorithm)));
+}
+
+/// The per-node face of each substrate's NIC collective engine: its group
+/// descriptor, the object that arms groups and takes entries, and the
+/// executor-name prefixes.
+template <class Cluster>
+struct NicFace;
+template <>
+struct NicFace<MyriCluster> {
+  using Desc = myri::GroupDesc;
+  static constexpr std::string_view kBarrierPrefix = "myri-nic-coll-";
+  static constexpr std::string_view kPrefix = "myri-nic-";
+  static myri::GmPort& of(MyriCluster& c, int node) { return c.node(node).port(); }
+};
+template <>
+struct NicFace<ElanCluster> {
+  using Desc = elan::ElanGroupDesc;
+  static constexpr std::string_view kBarrierPrefix = "elan-nic-";
+  static constexpr std::string_view kPrefix = "elan-nic-";
+  static elan::ElanNode& of(ElanCluster& c, int node) { return c.node(node); }
+};
+template <>
+struct NicFace<IbCluster> {
+  using Desc = ib::IbGroupDesc;
+  static constexpr std::string_view kBarrierPrefix = "ib-nic-";
+  static constexpr std::string_view kPrefix = "ib-nic-";
+  static ib::IbNode& of(IbCluster& c, int node) { return c.node(node); }
+};
+
+/// NIC-resident implementation: one doorbell in, one completion word out,
+/// all combining done by the NICs inside the collective protocol — the
+/// Myrinet collective engine, the Quadrics chained-RDMA descriptors (paper
+/// Sec. 7 generalized to its Sec. 9 future work) or the IB HCA's group
+/// engine over sequenced RDMA writes-with-immediate.
+template <class Cluster>
+class NicCollective final : public Collective {
+ public:
+  using Face = NicFace<Cluster>;
+
+  /// `proto` carries any substrate-specific descriptor fields (the Myrinet
+  /// ablation switches); the rest is filled from `spec`.
+  NicCollective(Cluster& cluster, const coll::CollSpec& spec, typename Face::Desc proto)
+      : cluster_(cluster),
+        kind_(spec.op),
+        rank_to_node_(resolve_placement(spec, cluster.size())),
+        group_id_(cluster.next_group_id()) {
+    const int n = static_cast<int>(rank_to_node_.size());
+    const auto schedule =
+        make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
+    name_ = executor_name(
+        spec.op == coll::OpKind::kBarrier ? Face::kBarrierPrefix : Face::kPrefix, spec.op,
+        schedule.algorithm);
+
+    const coll::Placement placement = coll::make_placement(rank_to_node_);
+    for (int r = 0; r < n; ++r) {
+      typename Face::Desc desc = proto;
+      desc.group_id = group_id_;
+      desc.my_rank = r;
+      desc.rank_to_node = placement;
+      desc.schedule = schedule.ranks[static_cast<std::size_t>(r)];
+      desc.op_kind = spec.op;
+      desc.reduce_op = spec.reduce;
+      desc.payload_bytes = spec.payload_bytes;
+      Face::of(cluster_, rank_to_node_[static_cast<std::size_t>(r)]).create_group(std::move(desc));
+    }
+  }
+
+  void enter(int rank, std::int64_t value, DoneFn done) override {
+    const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
+    Face::of(cluster_, node).collective_enter(group_id_, value, std::move(done));
+  }
+  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
+  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
+
+ private:
+  Cluster& cluster_;
+  coll::OpKind kind_;
+  std::vector<int> rank_to_node_;
+  std::uint32_t group_id_;
+  std::string name_;
+};
+
+template <class Cluster>
+std::unique_ptr<Collective> dispatch(Cluster& cluster, const coll::CollSpec& spec,
+                                     typename NicFace<Cluster>::Desc proto = {}) {
+  if (spec.engine == coll::Engine::kHost) {
+    return make_host_collective(cluster, spec, resolve_placement(spec, cluster.size()));
+  }
+  return std::make_unique<NicCollective<Cluster>>(cluster, spec, std::move(proto));
 }
 
 }  // namespace
@@ -129,116 +217,28 @@ coll::GroupSchedule make_collective_schedule(coll::OpKind kind, int n, int root,
   throw std::invalid_argument("unknown collective kind");
 }
 
-MyriNicCollective::MyriNicCollective(MyriCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id()) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  const auto schedule =
-      make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("myri-nic-") + std::string(kind_name(spec.op));
-
-  const coll::Placement placement = coll::make_placement(rank_to_node_);
-  for (int r = 0; r < n; ++r) {
-    myri::GroupDesc desc;
-    desc.group_id = group_id_;
-    desc.my_rank = r;
-    desc.rank_to_node = placement;
-    desc.schedule = schedule.ranks[static_cast<std::size_t>(r)];
-    desc.op_kind = spec.op;
-    desc.reduce_op = spec.reduce;
-    desc.payload_bytes = spec.payload_bytes;
-    cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]).port().create_group(std::move(desc));
-  }
+std::string executor_name(std::string_view prefix, coll::OpKind kind,
+                          coll::Algorithm algorithm) {
+  return std::string(prefix) + std::string(kind == coll::OpKind::kBarrier
+                                                ? coll::to_string(algorithm)
+                                                : coll::to_string(kind));
 }
 
-void MyriNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-  cluster_.node(node).port().collective_enter(group_id_, value, std::move(done));
-}
-
-ElanNicCollective::ElanNicCollective(ElanCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id()) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  const auto schedule =
-      make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("elan-nic-") + std::string(kind_name(spec.op));
-
-  const coll::Placement placement = coll::make_placement(rank_to_node_);
-  for (int r = 0; r < n; ++r) {
-    elan::ElanGroupDesc desc;
-    desc.group_id = group_id_;
-    desc.my_rank = r;
-    desc.rank_to_node = placement;
-    desc.schedule = schedule.ranks[static_cast<std::size_t>(r)];
-    desc.op_kind = spec.op;
-    desc.reduce_op = spec.reduce;
-    desc.payload_bytes = spec.payload_bytes;
-    cluster_.node(rank_to_node_[static_cast<std::size_t>(r)])
-        .create_barrier_group(std::move(desc));
-  }
-}
-
-void ElanNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-  cluster_.node(node).collective_enter(group_id_, value, std::move(done));
-}
-
-IbNicCollective::IbNicCollective(IbCluster& cluster, const coll::CollSpec& spec)
-    : cluster_(cluster),
-      kind_(spec.op),
-      rank_to_node_(resolve_placement(spec, cluster.size())),
-      group_id_(cluster.next_group_id()) {
-  const int n = static_cast<int>(rank_to_node_.size());
-  const auto schedule =
-      make_collective_schedule(spec.op, n, spec.root, spec.algorithm, spec.radix);
-  name_ = std::string("ib-nic-") + std::string(kind_name(spec.op));
-
-  const coll::Placement placement = coll::make_placement(rank_to_node_);
-  for (int r = 0; r < n; ++r) {
-    ib::IbGroupDesc desc;
-    desc.group_id = group_id_;
-    desc.my_rank = r;
-    desc.rank_to_node = placement;
-    desc.schedule = schedule.ranks[static_cast<std::size_t>(r)];
-    desc.op_kind = spec.op;
-    desc.reduce_op = spec.reduce;
-    desc.payload_bytes = spec.payload_bytes;
-    cluster_.node(rank_to_node_[static_cast<std::size_t>(r)]).create_group(std::move(desc));
-  }
-}
-
-void IbNicCollective::enter(int rank, std::int64_t value, DoneFn done) {
-  const int node = rank_to_node_.at(static_cast<std::size_t>(rank));
-  cluster_.node(node).collective_enter(group_id_, value, std::move(done));
-}
-
-std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
-                                            const coll::CollSpec& spec) {
-  if (spec.engine == coll::Engine::kHost) {
-    return make_host_collective(cluster, spec, resolve_placement(spec, cluster.size()));
-  }
-  return std::make_unique<MyriNicCollective>(cluster, spec);
+std::unique_ptr<Collective> make_collective(MyriCluster& cluster, const coll::CollSpec& spec,
+                                            myri::CollFeatures features) {
+  myri::GroupDesc proto;
+  proto.features = features;
+  return dispatch(cluster, spec, std::move(proto));
 }
 
 std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
                                             const coll::CollSpec& spec) {
-  if (spec.engine == coll::Engine::kHost) {
-    return make_host_collective(cluster, spec, resolve_placement(spec, cluster.size()));
-  }
-  return std::make_unique<ElanNicCollective>(cluster, spec);
+  return dispatch(cluster, spec);
 }
 
 std::unique_ptr<Collective> make_collective(IbCluster& cluster,
                                             const coll::CollSpec& spec) {
-  if (spec.engine == coll::Engine::kHost) {
-    return make_host_collective(cluster, spec, resolve_placement(spec, cluster.size()));
-  }
-  return std::make_unique<IbNicCollective>(cluster, spec);
+  return dispatch(cluster, spec);
 }
 
 }  // namespace qmb::core

@@ -22,6 +22,7 @@
 #include "core/coll_spec.hpp"
 #include "core/schedule.hpp"
 #include "core/split_phase.hpp"
+#include "myrinet/collective.hpp"
 
 namespace qmb::core {
 
@@ -29,10 +30,13 @@ class MyriCluster;
 class ElanCluster;
 class IbCluster;
 
-/// A cluster-wide value collective. Ranks enter with a contribution and
-/// receive the operation's result in their completion callback.
+/// A cluster-wide collective. Ranks enter with a contribution and receive
+/// the operation's result in their completion callback.
 ///
-/// Two entry styles share one protocol engine (mirroring Barrier):
+/// Barriers are the kBarrier kind: they enter 0 and complete with 0 (the
+/// nullary-callback view is core/barrier.hpp).
+///
+/// Two entry styles share one protocol engine:
 ///
 ///  * enter(rank, value, done)  — blocking style: `done(result)` fires when
 ///                                the operation completes for the rank.
@@ -71,66 +75,7 @@ class Collective {
   [[nodiscard]] virtual coll::OpKind kind() const = 0;
 
  private:
-  SplitPhase<DoneFn> split_{{"collective", "started", "start"}};
-};
-
-/// NIC-resident implementation: one doorbell in, one completion word out,
-/// all combining done by the NICs inside the collective protocol.
-class MyriNicCollective final : public Collective {
- public:
-  MyriNicCollective(MyriCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  MyriCluster& cluster_;
-  coll::OpKind kind_;
-  std::vector<int> rank_to_node_;
-  std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// Quadrics chained-RDMA implementation: the payload rides the RDMA puts of
-/// the same descriptor chains the barrier uses (paper Sec. 7 generalized to
-/// its Sec. 9 future work).
-class ElanNicCollective final : public Collective {
- public:
-  ElanNicCollective(ElanCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  ElanCluster& cluster_;
-  coll::OpKind kind_;
-  std::vector<int> rank_to_node_;
-  std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// IB NIC-resident implementation: the collective group engine runs on the
-/// HCA over sequenced RDMA writes-with-immediate — one doorbell in, one
-/// CQE out, like the Myrinet and Elan NIC engines.
-class IbNicCollective final : public Collective {
- public:
-  IbNicCollective(IbCluster& cluster, const coll::CollSpec& spec);
-
-  void enter(int rank, std::int64_t value, DoneFn done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  IbCluster& cluster_;
-  coll::OpKind kind_;
-  std::vector<int> rank_to_node_;
-  std::uint32_t group_id_;
-  std::string name_;
+  SplitPhase split_;
 };
 
 /// Builds the schedule for an operation kind. `root` applies to bcast;
@@ -158,11 +103,21 @@ class IbNicCollective final : public Collective {
 /// subsystem's per-group verification.
 [[nodiscard]] std::int64_t expected_collective_result(coll::OpKind kind, int n);
 
+/// "<prefix><algorithm>" for a barrier executor (its schedule names it),
+/// "<prefix><op kind>" for a value collective.
+[[nodiscard]] std::string executor_name(std::string_view prefix, coll::OpKind kind,
+                                        coll::Algorithm algorithm);
+
 /// Single construction entry points: one CollSpec in, one Collective out,
 /// dispatching on spec.engine (host executors: core/host_executor.hpp).
 /// The substrate registry's SubstrateCluster::make_collective lands here.
+/// A kBarrier spec builds a barrier executor named "<network>-<engine>-
+/// <algorithm>" ("myri-nic-coll-<algorithm>" for the paper's Myrinet
+/// protocol); value kinds are named "<network>-<engine>-<op kind>".
+/// `features` (the Myrinet ablation switches) reach only NIC groups.
 std::unique_ptr<Collective> make_collective(MyriCluster& cluster,
-                                            const coll::CollSpec& spec);
+                                            const coll::CollSpec& spec,
+                                            myri::CollFeatures features = {});
 std::unique_ptr<Collective> make_collective(ElanCluster& cluster,
                                             const coll::CollSpec& spec);
 std::unique_ptr<Collective> make_collective(IbCluster& cluster,

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "core/cluster.hpp"
@@ -104,20 +103,19 @@ struct TransportFor<IbCluster> {
   using type = IbTransport;
 };
 
-/// Walks one schedule per rank on the hosts. `Done` is the rank's
-/// completion callback: sim::EventCallback for barriers, the collective's
-/// DoneFn (which receives the result) for value collectives.
-template <class Transport, class Done>
-class HostExecutor {
+/// Walks one schedule per rank on the hosts.
+template <class Transport>
+class HostCollective final : public Collective {
  public:
   template <class Cluster>
-  HostExecutor(Cluster& cluster, coll::GroupSchedule schedule, std::vector<int> rank_to_node,
-               coll::OpKind kind, coll::ReduceOp reduce, std::uint32_t payload_bytes)
+  HostCollective(Cluster& cluster, const coll::CollSpec& spec, coll::GroupSchedule schedule,
+                 std::vector<int> rank_to_node, std::string name)
       : schedule_(std::move(schedule)),
         rank_to_node_(std::move(rank_to_node)),
-        kind_(kind),
-        payload_bytes_(payload_bytes),
-        group_id_(cluster.next_group_id() & BarrierTag::kGroupMask) {
+        kind_(spec.op),
+        payload_bytes_(spec.payload_bytes),
+        group_id_(cluster.next_group_id() & BarrierTag::kGroupMask),
+        name_(std::move(name)) {
     const int n = schedule_.size;
     assert(static_cast<int>(rank_to_node_.size()) == n);
     node_to_rank_.assign(static_cast<std::size_t>(cluster.size()), -1);
@@ -136,20 +134,20 @@ class HostExecutor {
       // starve: its retransmissions find no token, the operation never
       // completes, and no new tokens are ever provided.
       ctx.transport.provide_buffers(2 * ctx.waits_per_op + 4);
-      ctx.window = std::make_unique<GroupWindow<>>(schedule_.ranks[ur], kind, reduce);
+      ctx.window = std::make_unique<GroupWindow<>>(schedule_.ranks[ur], spec.op, spec.reduce);
       ctx.transport.subscribe(group_id_,
                               [this, r](int src_node, std::uint32_t tag, std::int64_t value) {
                                 on_message(r, src_node, tag, value);
                               });
     }
   }
-  ~HostExecutor() {
+  ~HostCollective() override {
     for (RankCtx& ctx : ranks_) ctx.transport.unsubscribe(group_id_);
   }
-  HostExecutor(const HostExecutor&) = delete;
-  HostExecutor& operator=(const HostExecutor&) = delete;
+  HostCollective(const HostCollective&) = delete;
+  HostCollective& operator=(const HostCollective&) = delete;
 
-  void enter(int rank, std::int64_t value, Done done) {
+  void enter(int rank, std::int64_t value, DoneFn done) override {
     RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
     assert(!ctx.done && "rank re-entered before completion");
     ctx.done = std::move(done);
@@ -160,13 +158,15 @@ class HostExecutor {
     ctx.transport.host_op([this, rank, value] { start(rank, value); });
   }
 
-  [[nodiscard]] int size() const { return static_cast<int>(ranks_.size()); }
+  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
+  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
 
  private:
   struct RankCtx {
     Transport transport;
     std::unique_ptr<GroupWindow<>> window;
-    Done done;
+    DoneFn done;
     int waits_per_op = 0;
   };
   using Op = GroupWindow<>::Op;
@@ -189,12 +189,7 @@ class HostExecutor {
     RankCtx& ctx = ranks_[static_cast<std::size_t>(rank)];
     auto cb = std::move(ctx.done);
     ctx.done = nullptr;
-    if (!cb) return;
-    if constexpr (std::is_invocable_v<Done&, std::int64_t>) {
-      cb(result);
-    } else {
-      cb();
-    }
+    if (cb) cb(result);
   }
 
   void on_message(int rank, int src_node, std::uint32_t tag, std::int64_t value) {
@@ -211,85 +206,32 @@ class HostExecutor {
   coll::OpKind kind_;
   std::uint32_t payload_bytes_;
   std::uint32_t group_id_;
+  std::string name_;
   std::vector<RankCtx> ranks_;
-};
-
-template <class Transport>
-class HostBarrier final : public Barrier {
- public:
-  template <class Cluster>
-  HostBarrier(Cluster& cluster, const coll::GroupSchedule& schedule,
-              std::vector<int> rank_to_node, std::string name)
-      : exec_(cluster, schedule, std::move(rank_to_node), coll::OpKind::kBarrier,
-              coll::ReduceOp::kSum, 8),
-        name_(std::move(name)) {}
-
-  void enter(int rank, sim::EventCallback done) override {
-    exec_.enter(rank, 0, std::move(done));
-  }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return exec_.size(); }
-
- private:
-  HostExecutor<Transport, sim::EventCallback> exec_;
-  std::string name_;
-};
-
-template <class Transport>
-class HostCollective final : public Collective {
- public:
-  template <class Cluster>
-  HostCollective(Cluster& cluster, const coll::CollSpec& spec, coll::GroupSchedule schedule,
-                 std::vector<int> rank_to_node)
-      : exec_(cluster, std::move(schedule), std::move(rank_to_node), spec.op, spec.reduce,
-              spec.payload_bytes),
-        kind_(spec.op),
-        name_(std::string(Transport::kNetwork) + "-host-" +
-              std::string(coll::to_string(spec.op))) {}
-
-  void enter(int rank, std::int64_t value, DoneFn done) override {
-    exec_.enter(rank, value, std::move(done));
-  }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return exec_.size(); }
-  [[nodiscard]] coll::OpKind kind() const override { return kind_; }
-
- private:
-  HostExecutor<Transport, DoneFn> exec_;
-  coll::OpKind kind_;
-  std::string name_;
 };
 
 }  // namespace
 
 template <class Cluster>
-std::unique_ptr<Barrier> make_host_barrier(Cluster& cluster,
-                                           const coll::GroupSchedule& schedule,
-                                           std::vector<int> rank_to_node, std::string name) {
-  return std::make_unique<HostBarrier<typename TransportFor<Cluster>::type>>(
-      cluster, schedule, std::move(rank_to_node), std::move(name));
-}
-
-template <class Cluster>
 std::unique_ptr<Collective> make_host_collective(Cluster& cluster, const coll::CollSpec& spec,
-                                                 std::vector<int> rank_to_node) {
+                                                 std::vector<int> rank_to_node,
+                                                 std::string name) {
+  using Transport = typename TransportFor<Cluster>::type;
   auto schedule = make_collective_schedule(spec.op, static_cast<int>(rank_to_node.size()),
                                            spec.root, spec.algorithm, spec.radix);
-  return std::make_unique<HostCollective<typename TransportFor<Cluster>::type>>(
-      cluster, spec, std::move(schedule), std::move(rank_to_node));
+  if (name.empty()) {
+    name = executor_name(std::string(Transport::kNetwork) + "-host-", spec.op,
+                         schedule.algorithm);
+  }
+  return std::make_unique<HostCollective<Transport>>(cluster, spec, std::move(schedule),
+                                                     std::move(rank_to_node), std::move(name));
 }
 
-template std::unique_ptr<Barrier> make_host_barrier(MyriCluster&, const coll::GroupSchedule&,
-                                                    std::vector<int>, std::string);
-template std::unique_ptr<Barrier> make_host_barrier(ElanCluster&, const coll::GroupSchedule&,
-                                                    std::vector<int>, std::string);
-template std::unique_ptr<Barrier> make_host_barrier(IbCluster&, const coll::GroupSchedule&,
-                                                    std::vector<int>, std::string);
 template std::unique_ptr<Collective> make_host_collective(MyriCluster&, const coll::CollSpec&,
-                                                          std::vector<int>);
+                                                          std::vector<int>, std::string);
 template std::unique_ptr<Collective> make_host_collective(ElanCluster&, const coll::CollSpec&,
-                                                          std::vector<int>);
+                                                          std::vector<int>, std::string);
 template std::unique_ptr<Collective> make_host_collective(IbCluster&, const coll::CollSpec&,
-                                                          std::vector<int>);
+                                                          std::vector<int>, std::string);
 
 }  // namespace qmb::core

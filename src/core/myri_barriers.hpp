@@ -1,5 +1,6 @@
-// The Myrinet NIC barrier implementations compared in Figs. 5 and 6 (the
-// host-based baseline is core/host_executor.hpp's executor).
+// The prior-work Myrinet NIC barrier compared in Figs. 5 and 6. The
+// paper's NIC-based collective protocol and the host-based baseline are the
+// kBarrier executors of core::make_collective.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "core/barrier.hpp"
+#include "core/collectives.hpp"
 #include "core/coll_tag.hpp"
 #include "core/group_window.hpp"
 #include "core/schedule.hpp"
@@ -24,23 +25,25 @@ class MyriCluster;
 /// barrier messages and triggers the next ones, but every message still
 /// traverses the MCP point-to-point machinery — per-destination queues,
 /// packet-pool claims, per-packet send records, ACK-based reliability.
+/// A kBarrier collective: it ignores the entered value and completes with 0.
 ///
 /// Construction installs this barrier as each NIC's MCP nic-consumer: one
 /// direct barrier per cluster at a time.
-class MyriDirectNicBarrier final : public Barrier {
+class MyriDirectNicBarrier final : public Collective {
  public:
   MyriDirectNicBarrier(MyriCluster& cluster, const coll::GroupSchedule& schedule,
                        std::vector<int> rank_to_node);
 
-  void enter(int rank, sim::EventCallback done) override;
+  void enter(int rank, std::int64_t value, DoneFn done) override;
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] int size() const override { return static_cast<int>(ranks_.size()); }
+  [[nodiscard]] coll::OpKind kind() const override { return coll::OpKind::kBarrier; }
 
  private:
   struct RankCtx {
     myri::MyriNode* node = nullptr;
     std::unique_ptr<GroupWindow<>> window;
-    sim::EventCallback done;
+    DoneFn done;
   };
 
   void start_op(int rank);
@@ -50,24 +53,6 @@ class MyriDirectNicBarrier final : public Barrier {
   std::vector<int> rank_to_node_;
   std::vector<int> node_to_rank_;
   std::vector<RankCtx> ranks_;
-  std::uint32_t group_id_;
-  std::string name_;
-};
-
-/// The paper's barrier: NIC-based collective protocol (dedicated group
-/// queue, static send packet, bit-vector record, receiver-driven NACKs).
-class MyriNicBarrier final : public Barrier {
- public:
-  MyriNicBarrier(MyriCluster& cluster, const coll::GroupSchedule& schedule,
-                 std::vector<int> rank_to_node, myri::CollFeatures features);
-
-  void enter(int rank, sim::EventCallback done) override;
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] int size() const override { return static_cast<int>(rank_to_node_.size()); }
-
- private:
-  MyriCluster& cluster_;
-  std::vector<int> rank_to_node_;
   std::uint32_t group_id_;
   std::string name_;
 };

@@ -14,7 +14,7 @@ MyriDirectNicBarrier::MyriDirectNicBarrier(MyriCluster& cluster,
       group_id_(cluster.next_group_id() & core::BarrierTag::kGroupMask) {
   const int n = schedule_.size;
   assert(static_cast<int>(rank_to_node_.size()) == n);
-  name_ = std::string("myri-nic-direct-") + std::string(coll::to_string(schedule_.algorithm));
+  name_ = executor_name("myri-nic-direct-", coll::OpKind::kBarrier, schedule_.algorithm);
 
   node_to_rank_.assign(static_cast<std::size_t>(cluster_.size()), -1);
   for (int r = 0; r < n; ++r) {
@@ -44,7 +44,7 @@ MyriDirectNicBarrier::MyriDirectNicBarrier(MyriCluster& cluster,
   }
 }
 
-void MyriDirectNicBarrier::enter(int rank, sim::EventCallback done) {
+void MyriDirectNicBarrier::enter(int rank, std::int64_t /*value*/, DoneFn done) {
   RankCtx& ctx = ranks_.at(static_cast<std::size_t>(rank));
   assert(!ctx.done && "rank re-entered before completion");
   ctx.done = std::move(done);
@@ -79,7 +79,7 @@ void MyriDirectNicBarrier::start_op(int rank) {
               RankCtx& c = ranks_[static_cast<std::size_t>(rank)];
               auto cb = std::move(c.done);
               c.done = nullptr;
-              if (cb) cb();
+              if (cb) cb(0);
             });
           });
         });

@@ -1,39 +1,28 @@
-// The per-rank split-phase state machine behind Barrier::notify/wait and
-// Collective::start/wait. The protocol's completion can land before or
-// after the host's wait(); the state records which side arrived first.
+// The per-rank split-phase state machine behind Collective::start/wait
+// (and so Barrier::notify/wait). The protocol's completion can land before
+// or after the host's wait(); the state records which side arrived first.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace qmb::core {
 
-/// `Done` is the waiter's callback: nullary for barriers, taking the
-/// operation's result for value collectives.
-template <class Done>
 class SplitPhase {
  public:
-  /// Words the error messages use, e.g. {"barrier", "notified", "notify"}.
-  struct Vocabulary {
-    std::string_view noun;
-    std::string_view started;
-    std::string_view start;
-  };
-
-  explicit SplitPhase(Vocabulary words) : words_(words) {}
+  /// The waiter's callback; it receives the operation's result.
+  using Done = std::function<void(std::int64_t)>;
 
   /// Part 1: marks `rank` started. Throws std::logic_error on a double
   /// start (a start with no intervening wait completion).
   void begin(int rank, int size) {
     State& st = state(rank, size);
     if (st.phase != Phase::kIdle) {
-      fail(rank, std::string(words_.started) + " the " + std::string(words_.noun) +
-                     " twice without waiting");
+      fail(rank, "started the collective twice without waiting");
     }
     st.phase = Phase::kStarted;
   }
@@ -46,7 +35,7 @@ class SplitPhase {
       Done done = std::move(st.waiter);
       st.waiter = nullptr;
       st.phase = Phase::kIdle;
-      run(done, result);
+      done(result);
     } else {
       st.result = result;
       st.phase = Phase::kReady;
@@ -60,14 +49,13 @@ class SplitPhase {
     State& st = state(rank, size);
     switch (st.phase) {
       case Phase::kIdle:
-        fail(rank, "waited on the " + std::string(words_.noun) + " without a " +
-                       std::string(words_.start));
+        fail(rank, "waited on the collective without a start");
       case Phase::kWaiting:
-        fail(rank, "waited on the " + std::string(words_.noun) + " twice");
+        fail(rank, "waited on the collective twice");
       case Phase::kReady:
         // Protocol already finished under the compute phase: complete now.
         st.phase = Phase::kIdle;
-        run(done, st.result);
+        done(st.result);
         return;
       case Phase::kStarted:
         st.phase = Phase::kWaiting;
@@ -93,19 +81,11 @@ class SplitPhase {
     throw std::logic_error("rank " + std::to_string(rank) + " " + what);
   }
 
-  static void run(Done& done, std::int64_t result) {
-    if constexpr (std::is_invocable_v<Done&, std::int64_t>) {
-      done(result);
-    } else {
-      done();
-    }
-  }
-
   State& state(int rank, int size) {
     if (rank < 0 || rank >= size) {
       throw std::logic_error("split-phase rank " + std::to_string(rank) +
-                             " out of range for a " + std::to_string(size) + "-rank " +
-                             std::string(words_.noun));
+                             " out of range for a " + std::to_string(size) +
+                             "-rank collective");
     }
     if (states_.size() != static_cast<std::size_t>(size)) {
       states_.resize(static_cast<std::size_t>(size));
@@ -113,7 +93,6 @@ class SplitPhase {
     return states_[static_cast<std::size_t>(rank)];
   }
 
-  Vocabulary words_;
   std::vector<State> states_;  // lazily sized to the executor's size()
 };
 

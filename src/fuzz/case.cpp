@@ -189,9 +189,12 @@ run::ExperimentSpec derive_case(std::uint64_t seed, const FuzzOptions& opts) {
   // Split-phase overlap: a quarter of plain (non-workload) cases run the
   // split-phase loop — notify/compute/wait for barriers, start/compute/wait
   // for value collectives — with up to 20 us of simulated compute. Drawn
-  // last, so every earlier case's derivation is unchanged.
+  // last, so every earlier case's derivation is unchanged. Entry skew does
+  // not apply to split-phase runs (validate() rejects the pair), so the
+  // skew drawn above is dropped.
   if (!s.workload.enabled() && rng.next_below(4) == 0) {
     s.overlap_us = static_cast<double>(rng.next_below(20'001)) / 1000.0;
+    s.skew_max_us = 0.0;
   }
   return s;
 }

@@ -310,15 +310,6 @@ void Hca::create_group(IbGroupDesc desc) {
   groups_.try_emplace(id, std::move(desc));
 }
 
-void Hca::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  // done is move-only; shared_ptr bridges it into the copyable DoneFn.
-  collective_enter(group, 0,
-                   [done = std::make_shared<sim::EventCallback>(std::move(done))](
-                       std::int64_t) {
-                     if (*done) (*done)();
-                   });
-}
-
 void Hca::collective_enter(std::uint32_t group, std::int64_t value,
                            std::function<void(std::int64_t)> done) {
   // The doorbell dispatch shares the WQE-processing unit charge.

@@ -100,12 +100,9 @@ class Hca {
   /// HCA, advanced by arriving write-with-immediate events.
   void create_group(IbGroupDesc desc);
 
-  /// Host rang the doorbell for one barrier operation (at HCA time).
-  /// `done` runs at HCA time when the completion CQE lands in host memory.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying entry for bcast/allreduce/allgather/alltoall groups:
-  /// the operand rides the immediate data of the same RDMA writes.
+  /// Host rang the doorbell for one operation (at HCA time); the operand
+  /// rides the immediate data of the group's RDMA writes. `done` runs at
+  /// HCA time when the completion CQE lands in host memory.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 

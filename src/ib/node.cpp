@@ -64,14 +64,6 @@ void IbNode::install_dispatcher() {
   });
 }
 
-void IbNode::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  host_cpu_.exec(cfg_.host_doorbell, [this, group, done = std::move(done)]() mutable {
-    hca_.barrier_enter(group, [this, done = std::move(done)]() mutable {
-      host_cpu_.exec(cfg_.host_cq_poll, std::move(done));
-    });
-  });
-}
-
 void IbNode::collective_enter(std::uint32_t group, std::int64_t value,
                               std::function<void(std::int64_t)> done) {
   host_cpu_.exec(cfg_.host_doorbell, [this, group, value, done = std::move(done)]() mutable {

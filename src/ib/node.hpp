@@ -46,12 +46,9 @@ class IbNode {
   /// measured path — groups are created once before the run).
   void create_group(IbGroupDesc desc) { hca_.create_group(std::move(desc)); }
 
-  /// NIC-resident barrier: doorbell in, completion CQE out. `done` runs on
-  /// the host after it polls the completion.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying NIC collective: operand in with the doorbell, result
-  /// out with the CQE.
+  /// NIC-resident collective: operand in with the doorbell, result out with
+  /// the CQE (0 for barriers). `done` runs on the host after it polls the
+  /// completion.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 

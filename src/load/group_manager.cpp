@@ -31,13 +31,8 @@ GroupManager::GroupManager(run::SubstrateCluster& cluster,
         sub.algorithm = coll::Algorithm::kDissemination;
         sub.radix = 0;
       }
-      if (kind == coll::OpKind::kBarrier) {
-        e.barrier = cluster.make_barrier(sub, grp.placement);
-        if (impl_name_.empty()) impl_name_ = e.barrier->name();
-      } else {
-        e.coll = cluster.make_collective(sub, grp.placement);
-        if (impl_name_.empty()) impl_name_ = e.coll->name();
-      }
+      e.op = cluster.make_collective(sub, grp.placement);
+      if (impl_name_.empty()) impl_name_ = e.op->name();
       grp.execs.push_back(std::move(e));
     }
     groups_.push_back(std::move(grp));
@@ -59,13 +54,7 @@ void GroupManager::enter(int g, int op_index, int rank, std::int64_t value,
   const coll::OpKind kind = kind_of(g, op_index);
   for (Exec& e : grp.execs) {
     if (e.kind != kind) continue;
-    if (e.barrier) {
-      e.barrier->enter(rank, [done = std::move(done)] {
-        if (done) done(0);
-      });
-    } else {
-      e.coll->enter(rank, value, std::move(done));
-    }
+    e.op->enter(rank, kind == coll::OpKind::kBarrier ? 0 : value, std::move(done));
     return;
   }
   assert(false && "kind_of returned a kind with no executor");

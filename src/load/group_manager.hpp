@@ -1,6 +1,6 @@
-// Builds and owns the executors of a multi-tenant workload: one barrier or
-// collective engine per (group, distinct op kind) pair, each occupying its
-// own NIC group slot with its own send queue (paper design point #1), over
+// Builds and owns the executors of a multi-tenant workload: one collective
+// engine per (group, distinct op kind) pair, each occupying its own NIC
+// group slot with its own send queue (paper design point #1), over
 // possibly overlapping memberships. Routes each issued operation to the
 // right executor.
 #pragma once
@@ -29,19 +29,19 @@ class GroupManager {
   /// The op kind of group g's k-th issued operation (phase-shifted mix).
   [[nodiscard]] coll::OpKind kind_of(int g, int op_index) const;
   [[nodiscard]] const std::vector<int>& placement(int g) const;
-  /// Group 0's first executor's self-reported name ("myri-nic-coll", ...).
+  /// Group 0's first executor's self-reported name
+  /// ("myri-nic-coll-dissemination", ...).
   [[nodiscard]] std::string_view impl_name() const { return impl_name_; }
 
-  /// Rank `rank` of group `g` enters its op `op_index` with `value`;
-  /// `done(result)` runs on that rank's host (result 0 for barriers).
+  /// Rank `rank` of group `g` enters its op `op_index` with `value` (0 for
+  /// barriers); `done(result)` runs on that rank's host.
   void enter(int g, int op_index, int rank, std::int64_t value,
              std::function<void(std::int64_t)> done);
 
  private:
   struct Exec {
     coll::OpKind kind = coll::OpKind::kBarrier;
-    std::unique_ptr<core::Barrier> barrier;  // kind == kBarrier
-    std::unique_ptr<core::Collective> coll;  // value-carrying kinds
+    std::unique_ptr<core::Collective> op;
   };
   struct Group {
     std::vector<int> placement;

@@ -74,15 +74,6 @@ std::uint32_t CollectiveEngine::wire_bytes_for(const GroupDesc& desc, std::uint3
              static_cast<std::uint32_t>(coll::edge_payload_words(desc.op_kind, tag, value));
 }
 
-void CollectiveEngine::host_enter(std::uint32_t group, sim::EventCallback done) {
-  // done is move-only; shared_ptr bridges it into the copyable DoneFn.
-  host_enter_value(group, 0,
-                   [done = std::make_shared<sim::EventCallback>(std::move(done))](
-                       std::int64_t) {
-                     if (*done) (*done)();
-                   });
-}
-
 void CollectiveEngine::host_enter_value(std::uint32_t group, std::int64_t value,
                                         std::function<void(std::int64_t)> done) {
   // A contribution larger than the static packet is pulled from host memory

@@ -93,13 +93,11 @@ class CollectiveEngine {
   /// NIC with the same group_id and consistent rank_to_node.
   void create_group(GroupDesc desc);
 
-  /// Host entered the group's next barrier (call at NIC time, post-PIO).
-  /// `done` runs at NIC time when the completion word lands in host memory.
-  void host_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying entry: `value` is this rank's contribution (broadcast
-  /// payload at the root, reduction operand, or allgather bit mask); `done`
-  /// receives the operation's result.
+  /// Host entered the group's next operation (call at NIC time, post-PIO)
+  /// with `value`, this rank's contribution (broadcast payload at the root,
+  /// reduction operand, allgather bit mask; 0 for barriers). `done`
+  /// receives the operation's result at NIC time, when the completion word
+  /// lands in host memory.
   void host_enter_value(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 

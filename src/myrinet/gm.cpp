@@ -57,24 +57,14 @@ void GmPort::remove_collective_handler(std::uint32_t group) {
   group_handlers_.erase(group & core::BarrierTag::kGroupMask);
 }
 
-void GmPort::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  host_cpu_.exec(host_.send_post, [this, group, done = std::move(done)]() mutable {
-    nic_.pci().pio_write([this, group, done = std::move(done)]() mutable {
-      coll_.host_enter(group, [this, done = std::move(done)]() mutable {
-        // Completion is a word in host memory: cheaper to notice than a full
-        // receive event.
-        host_cpu_.exec(host_.barrier_detect, std::move(done));
-      });
-    });
-  });
-}
-
 void GmPort::collective_enter(std::uint32_t group, std::int64_t value,
                               std::function<void(std::int64_t)> done) {
   host_cpu_.exec(host_.send_post, [this, group, value, done = std::move(done)]() mutable {
     nic_.pci().pio_write([this, group, value, done = std::move(done)]() mutable {
       coll_.host_enter_value(group, value,
                              [this, done = std::move(done)](std::int64_t result) mutable {
+                               // Completion is a word in host memory: cheaper
+                               // to notice than a full receive event.
                                host_cpu_.exec(host_.barrier_detect,
                                               [done = std::move(done), result]() mutable {
                                                 done(result);

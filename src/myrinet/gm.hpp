@@ -47,12 +47,8 @@ class GmPort {
   /// Registers a collective group on this node's NIC.
   void create_group(GroupDesc desc) { coll_.create_group(std::move(desc)); }
 
-  /// NIC-based barrier entry: one doorbell in, one completion word out.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// NIC-based value-carrying collective entry (bcast/allreduce/allgather
-  /// groups): same doorbell-in / completion-word-out pattern, with the
-  /// operand in and the result out.
+  /// NIC-based collective entry: one doorbell in with the operand, one
+  /// completion word out with the result (0 for barriers).
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 

@@ -60,9 +60,13 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
     d.regression = d.delta_pct > opts.threshold_pct;
     d.improvement = d.delta_pct < -opts.threshold_pct;
     d.fingerprint_changed = op.string_or("fingerprint", "") != np.string_or("fingerprint", "");
+    const std::string old_impl(op.string_or("impl_name", ""));
+    const std::string new_impl(np.string_or("impl_name", ""));
+    d.impl_name_changed = !old_impl.empty() && !new_impl.empty() && old_impl != new_impl;
     if (d.regression) ++rep.regressions;
     if (d.improvement) ++rep.improvements;
-    if (d.fingerprint_changed) ++rep.fingerprint_changes;
+    if (d.fingerprint_changed || d.impl_name_changed) ++rep.fingerprint_changes;
+    if (d.impl_name_changed) ++rep.impl_name_changes;
 
     // Advisory host-time drift: only when both suites carry the field.
     d.old_host_ms = op.number_or("host_ms", 0.0);
@@ -78,12 +82,14 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
       }
     }
 
-    if (d.regression || d.improvement || d.fingerprint_changed) {
-      std::snprintf(line, sizeof line, "  %-44s %10.2f -> %10.2f us  %+7.2f%%%s%s\n",
+    if (d.regression || d.improvement || d.fingerprint_changed || d.impl_name_changed) {
+      std::snprintf(line, sizeof line, "  %-44s %10.2f -> %10.2f us  %+7.2f%%%s%s",
                     d.key.c_str(), d.old_us, d.new_us, d.delta_pct,
                     d.regression ? "  REGRESSION" : (d.improvement ? "  improved" : ""),
                     d.fingerprint_changed ? "  [fingerprint changed]" : "");
       table += line;
+      if (d.impl_name_changed) table += "  [impl_name " + old_impl + " -> " + new_impl + "]";
+      table += "\n";
     }
     rep.deltas.push_back(std::move(d));
   }
@@ -94,11 +100,11 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
 
   std::snprintf(line, sizeof line,
                 "benchdiff: %zu common points, %d regression(s), %d improvement(s), "
-                "%d fingerprint change(s), %zu added, %zu removed "
+                "%d fingerprint change(s) (%d impl_name), %zu added, %zu removed "
                 "(threshold %.1f%%)\n",
                 rep.deltas.size(), rep.regressions, rep.improvements,
-                rep.fingerprint_changes, rep.added.size(), rep.removed.size(),
-                opts.threshold_pct);
+                rep.fingerprint_changes, rep.impl_name_changes, rep.added.size(),
+                rep.removed.size(), opts.threshold_pct);
   rep.text = line + table;
   for (const std::string& k : rep.added) rep.text += "  added:   " + k + "\n";
   for (const std::string& k : rep.removed) rep.text += "  removed: " + k + "\n";

@@ -6,7 +6,9 @@
 // fingerprint. diff() aligns points by key and classifies each: latency
 // regression/improvement beyond a threshold, counter drift, fingerprint
 // change (the simulation computed different events — either a real
-// behavioural change or lost determinism). The CLI in tools/benchdiff.cpp
+// behavioural change or lost determinism). A changed impl_name (the
+// executor's self-reported name) counts as a fingerprint change too: the
+// point is no longer measuring the same executor. The CLI in tools/benchdiff.cpp
 // is a thin wrapper; tests drive this engine directly.
 #pragma once
 
@@ -36,6 +38,9 @@ struct BenchPointDelta {
   bool regression = false;
   bool improvement = false;
   bool fingerprint_changed = false;
+  /// Both suites name the executor and the names differ; also counted in
+  /// fingerprint_changes.
+  bool impl_name_changed = false;
   // Advisory host-time comparison (0 when either suite lacks host fields).
   double old_host_ms = 0.0;
   double new_host_ms = 0.0;
@@ -48,7 +53,8 @@ struct BenchDiffReport {
   std::vector<std::string> removed;       // keys only in the baseline
   int regressions = 0;
   int improvements = 0;
-  int fingerprint_changes = 0;
+  int fingerprint_changes = 0;  // includes the impl_name changes
+  int impl_name_changes = 0;
   /// Points whose host time drifted beyond host_threshold_pct. Advisory
   /// only — see exit_code().
   int host_drifts = 0;

@@ -66,14 +66,6 @@ void ElanNode::install_dispatcher() {
   });
 }
 
-void ElanNode::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  host_cpu_.exec(cfg_.host_doorbell, [this, group, done = std::move(done)]() mutable {
-    nic_.barrier_enter(group, [this, done = std::move(done)]() mutable {
-      host_cpu_.exec(cfg_.host_detect, std::move(done));
-    });
-  });
-}
-
 void ElanNode::collective_enter(std::uint32_t group, std::int64_t value,
                                 std::function<void(std::int64_t)> done) {
   host_cpu_.exec(cfg_.host_doorbell, [this, group, value, done = std::move(done)]() mutable {

@@ -4,10 +4,13 @@
 // host CPU resource.
 //
 // The three Quadrics barrier flavours of Fig. 7 are built on these
-// primitives in core/quadrics_barrier.cpp:
+// primitives:
 //   * elan_gsync  — host-level gather-broadcast tree over put()
+//                   (core/host_executor.cpp)
 //   * elan_hgsync — hardware broadcast + network test-and-set
-//   * NIC barrier — chained RDMA descriptors (barrier_enter)
+//                   (core/quadrics_barrier.cpp)
+//   * NIC barrier — chained RDMA descriptors, collective_enter
+//                   (core/collectives.cpp)
 #pragma once
 
 #include <cstdint>
@@ -49,18 +52,14 @@ class ElanNode {
   int add_receive_handler(ReceiveHandler fn);
   void remove_receive_handler(int id);
 
-  /// Arms a chained-RDMA barrier group on this node's NIC (setup time, off
-  /// the measured path — the paper arms descriptors from user level once).
-  void create_barrier_group(ElanGroupDesc desc) {
-    nic_.create_barrier_group(std::move(desc));
-  }
+  /// Arms a chained-RDMA collective group on this node's NIC (setup time,
+  /// off the measured path — the paper arms descriptors from user level
+  /// once).
+  void create_group(ElanGroupDesc desc) { nic_.create_group(std::move(desc)); }
 
-  /// Chained-RDMA NIC barrier: doorbell in, final local event out. `done`
-  /// runs on the host after it polls the completion word.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying NIC collective (bcast/allreduce/allgather/alltoall
-  /// groups): operand in with the doorbell, result out with the event word.
+  /// Chained-RDMA NIC collective: operand in with the doorbell, result out
+  /// with the final local event's word (0 for barriers). `done` runs on
+  /// the host after it polls the completion word.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 

@@ -109,21 +109,12 @@ void Nic::on_packet(net::Packet&& p) {
   throw std::logic_error("unhandled packet body type at Elan NIC");
 }
 
-void Nic::create_barrier_group(ElanGroupDesc desc) {
+void Nic::create_group(ElanGroupDesc desc) {
   if (groups_.contains(desc.group_id)) {
     throw std::invalid_argument("elan barrier group id already registered");
   }
   const std::uint32_t id = desc.group_id;
   groups_.try_emplace(id, std::move(desc));
-}
-
-void Nic::barrier_enter(std::uint32_t group, sim::EventCallback done) {
-  // done is move-only; shared_ptr bridges it into the copyable DoneFn.
-  collective_enter(group, 0,
-                   [done = std::make_shared<sim::EventCallback>(std::move(done))](
-                       std::int64_t) {
-                     if (*done) (*done)();
-                   });
 }
 
 void Nic::collective_enter(std::uint32_t group, std::int64_t value,
@@ -138,7 +129,7 @@ void Nic::collective_enter(std::uint32_t group, std::int64_t value,
     g.window.start(
         op, [this, gp](Op& o, const coll::Edge& e) { barrier_send(*gp, o.seq, e, o.acc); },
         [this, gp](Op& o) { finish_barrier(*gp, o); },
-        [this, gp](Op& o) { trace("barrier_enter", gp->desc.group_id, o.seq); });
+        [this, gp](Op& o) { trace("op_enter", gp->desc.group_id, o.seq); });
   });
 }
 

@@ -65,18 +65,15 @@ class Nic {
 
   // --- chained-RDMA barrier unit ---
 
-  /// Arms a barrier group: builds the chained descriptor list for this
+  /// Arms a collective group: builds the chained descriptor list for this
   /// rank's schedule.
-  void create_barrier_group(ElanGroupDesc desc);
+  void create_group(ElanGroupDesc desc);
 
-  /// Host triggered the first descriptor of the chain (at NIC time).
-  /// `done` runs at NIC time when the final local event's word lands in
-  /// host memory.
-  void barrier_enter(std::uint32_t group, sim::EventCallback done);
-
-  /// Value-carrying entry for bcast/allreduce/allgather/alltoall groups:
-  /// the payload rides the RDMA put exactly as the barrier's notification
-  /// does (paper Sec. 7 — a put may carry data as well as fire an event).
+  /// Host triggered the first descriptor of the chain (at NIC time) with
+  /// `value`. The payload rides the RDMA put exactly as a barrier's
+  /// notification does (paper Sec. 7 — a put may carry data as well as
+  /// fire an event). `done` runs at NIC time when the final local event's
+  /// word lands in host memory.
   void collective_enter(std::uint32_t group, std::int64_t value,
                         std::function<void(std::int64_t)> done);
 

@@ -84,7 +84,8 @@ struct ExperimentSpec {
   /// Max per-entry skew in microseconds: each rank's every (re-)entry is
   /// delayed by a uniform draw in [0, skew_max_us], from an RNG derived
   /// from `seed`. 0 = the historical tight re-entry loop (bit-identical to
-  /// specs that predate this field).
+  /// specs that predate this field). Blocking runs only: validate()
+  /// rejects it together with overlap_us.
   double skew_max_us = 0.0;
 
   /// Simulated-time watchdog for the whole run. A protocol bug that

@@ -97,6 +97,9 @@ std::string caps_algorithm_list(const SubstrateCaps& caps, coll::OpKind op) {
 
 std::unique_ptr<core::Collective> SubstrateCluster::make_collective(
     const ExperimentSpec& spec, std::vector<int> placement) {
+  if (spec.op == coll::OpKind::kBarrier) {
+    return make_barrier(spec, std::move(placement))->release();
+  }
   coll::CollSpec cs;
   cs.op = spec.op;
   cs.engine = spec.impl == Impl::kHost ? coll::Engine::kHost : coll::Engine::kNic;

@@ -80,13 +80,15 @@ struct SubstrateCaps {
 };
 
 /// A built cluster behind a uniform face: the generic experiment driver
-/// only needs the fabric (for fault installation) and the two executor
+/// only needs the fabric (for fault installation) and the executor
 /// factories.
 class SubstrateCluster {
  public:
   virtual ~SubstrateCluster() = default;
   [[nodiscard]] virtual net::Fabric& fabric() = 0;
-  /// Builds the spec's barrier over `placement` (rank -> node).
+  /// Builds the spec's barrier over `placement` (rank -> node): maps
+  /// --impl, including the barrier-only schemes (direct, gsync, hgsync)
+  /// a CollSpec cannot name, onto the cluster's barrier kinds.
   [[nodiscard]] virtual std::unique_ptr<core::Barrier> make_barrier(
       const ExperimentSpec& spec, std::vector<int> placement) = 0;
   /// THE collective construction entry point: one CollSpec in, one
@@ -95,7 +97,8 @@ class SubstrateCluster {
   /// touches this signature again.
   [[nodiscard]] virtual std::unique_ptr<core::Collective> make_collective(
       const coll::CollSpec& spec) = 0;
-  /// Convenience: lowers an ExperimentSpec + placement to a CollSpec
+  /// The executor for any ExperimentSpec: make_barrier's executor for
+  /// barriers; otherwise lowers the spec + placement to a CollSpec
   /// (op/impl/algorithm/radix/overlap) and calls the entry point above.
   [[nodiscard]] std::unique_ptr<core::Collective> make_collective(
       const ExperimentSpec& spec, std::vector<int> placement);

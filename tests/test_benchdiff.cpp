@@ -1,6 +1,6 @@
 // Bench-suite regression diffing: key alignment, threshold classification,
-// fingerprint-change detection, exit codes, and schema validation — the
-// engine behind tools/benchdiff and the CI perf gate.
+// fingerprint- and impl_name-change detection, exit codes, and schema
+// validation — the engine behind tools/benchdiff and the CI perf gate.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,6 +24,13 @@ JsonValue suite(std::initializer_list<std::tuple<const char*, double, const char
   }
   doc.set("points", std::move(arr));
   return doc;
+}
+
+/// Names point `i`'s executor.
+void set_impl(JsonValue& doc, std::size_t i, const char* name) {
+  for (auto& [key, v] : doc.object) {
+    if (key == "points") v.array[i].set("impl_name", JsonValue::of(name));
+  }
 }
 
 TEST(BenchDiff, IdenticalSuitesAreClean) {
@@ -79,6 +86,30 @@ TEST(BenchDiff, FingerprintChangeFailsOnlyWhenConfigured) {
   const auto rep = diff_bench_suites(base, cur);
   EXPECT_EQ(rep.fingerprint_changes, 1);
   EXPECT_EQ(rep.exit_code({}), 0);  // advisory by default
+  BenchDiffOptions strict;
+  strict.fail_on_fingerprint = true;
+  EXPECT_EQ(rep.exit_code(strict), 1);
+}
+
+TEST(BenchDiff, ImplNameChangeCountsAsFingerprintChange) {
+  // Same fingerprint, different executor: the point no longer measures
+  // what the baseline measured, so the fingerprint gate must trip.
+  JsonValue base = suite({{"fig5/a", 10.0, "aa"}, {"fig5/b", 10.0, "bb"}});
+  JsonValue cur = base;
+  set_impl(base, 0, "myri-nic-coll-dissemination");
+  set_impl(cur, 0, "myri-nic-barrier");
+  // A name on one side only is not a change (older suites lack the field).
+  set_impl(cur, 1, "myri-host-dissemination");
+  const auto rep = diff_bench_suites(base, cur);
+  ASSERT_EQ(rep.deltas.size(), 2u);
+  EXPECT_TRUE(rep.deltas[0].impl_name_changed);
+  EXPECT_FALSE(rep.deltas[0].fingerprint_changed);
+  EXPECT_FALSE(rep.deltas[1].impl_name_changed);
+  EXPECT_EQ(rep.impl_name_changes, 1);
+  EXPECT_EQ(rep.fingerprint_changes, 1);
+  EXPECT_NE(rep.text.find("myri-nic-coll-dissemination -> myri-nic-barrier"), std::string::npos)
+      << rep.text;
+  EXPECT_EQ(rep.exit_code({}), 0);
   BenchDiffOptions strict;
   strict.fail_on_fingerprint = true;
   EXPECT_EQ(rep.exit_code(strict), 1);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace qmb::core {
 namespace {
@@ -83,22 +84,39 @@ TEST(Runner, ZeroWarmupWorks) {
 
 TEST(Runner, ThrowsOnDeadlockedBarrier) {
   // A barrier that never completes must be detected by the watchdog, not
-  // hang. Build one by only entering half the ranks via a wrapper.
-  struct HalfBarrier final : Barrier {
-    Barrier& inner;
-    explicit HalfBarrier(Barrier& b) : inner(b) {}
-    void enter(int rank, sim::EventCallback done) override {
-      if (rank % 2 == 0) inner.enter(rank, std::move(done));
-      // Odd ranks never really enter: their done never fires.
+  // hang, and the error must say where the run stuck. Build one with a
+  // wrapper whose odd ranks enter only their first operation.
+  struct HalfBarrier final : Collective {
+    Collective& inner;
+    std::vector<int> entries;
+    explicit HalfBarrier(Collective& c)
+        : inner(c), entries(static_cast<std::size_t>(c.size()), 0) {}
+    void enter(int rank, std::int64_t value, DoneFn done) override {
+      if (rank % 2 == 0 || entries[static_cast<std::size_t>(rank)]++ == 0) {
+        inner.enter(rank, value, std::move(done));
+      }
+      // Later odd-rank entries are swallowed: their done never fires.
     }
     std::string_view name() const override { return "half"; }
     int size() const override { return inner.size(); }
+    coll::OpKind kind() const override { return inner.kind(); }
   };
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 4);
   auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  HalfBarrier half(*b);
-  EXPECT_THROW(run_consecutive_barriers(e, half, 0, 1), std::runtime_error);
+  HalfBarrier half(b->collective());
+  OpRunPlan plan;
+  plan.warmup = 1;
+  plan.iters = 1;
+  try {
+    (void)run_consecutive_ops(e, half, plan);
+    FAIL() << "a deadlocked run must throw";
+  } catch (const std::runtime_error& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("barrier run did not complete"), std::string::npos) << what;
+    EXPECT_NE(what.find("4 of 4 ranks unfinished"), std::string::npos) << what;
+    EXPECT_NE(what.find("first is rank 0 after 1 of 2 iterations"), std::string::npos) << what;
+  }
 }
 
 TEST(Factories, AllMyriKindsConstruct) {
@@ -190,11 +208,14 @@ TEST(SplitPhase, RunnerOverlapDominatesIterationCost) {
   Engine e;
   MyriCluster c(e, myri::lanaixp_cluster(), 4);
   auto b = c.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  const auto overlap = sim::microseconds(500);
-  const auto r = run_split_phase_barriers(e, *b, 1, 5, overlap);
+  OpRunPlan plan;
+  plan.warmup = 1;
+  plan.iters = 5;
+  plan.overlap = sim::microseconds(500);
+  const auto r = run_consecutive_ops(e, b->collective(), plan);
   EXPECT_EQ(r.iterations, 5u);
-  EXPECT_GE(r.mean, overlap);
-  EXPECT_LT(r.mean, overlap + sim::microseconds(100));
+  EXPECT_GE(r.mean, *plan.overlap);
+  EXPECT_LT(r.mean, *plan.overlap + sim::microseconds(100));
 }
 
 TEST(SplitPhase, RunnerZeroOverlapMatchesBlockingRunner) {
@@ -207,7 +228,11 @@ TEST(SplitPhase, RunnerZeroOverlapMatchesBlockingRunner) {
   Engine e2;
   MyriCluster c2(e2, myri::lanaixp_cluster(), 4);
   auto b2 = c2.make_barrier(MyriBarrierKind::kNicCollective, coll::Algorithm::kDissemination);
-  const auto split = run_split_phase_barriers(e2, *b2, 1, 5, sim::SimDuration::zero());
+  OpRunPlan plan;
+  plan.warmup = 1;
+  plan.iters = 5;
+  plan.overlap = sim::SimDuration::zero();
+  const auto split = run_consecutive_ops(e2, b2->collective(), plan);
   EXPECT_EQ(split.iterations, blocking.iterations);
   EXPECT_EQ(split.mean, blocking.mean);
 }
@@ -220,6 +245,111 @@ TEST(Factories, PlacementMustCoverCluster) {
                           {3, 2, 1, 0});
   const auto r = run_consecutive_barriers(e, *b, 0, 2);
   EXPECT_EQ(r.iterations, 2u);
+}
+
+// ---------- a barrier is a collective ----------
+
+struct BarrierOutcome {
+  std::vector<sim::SimDuration> series;
+  std::uint64_t events_scheduled = 0;
+  std::uint64_t events_fired = 0;
+  std::string name;
+};
+
+/// Runs the same n8 barrier twice on fresh clusters: through make_barrier
+/// and run_consecutive_barriers, then through make_collective at kBarrier
+/// and run_consecutive_ops. Both must drive the identical executor.
+template <class Cluster, class Config, class Kind>
+void expect_same_barrier(const Config& cfg, Kind kind, const coll::CollSpec& spec,
+                         bool same_name = true) {
+  constexpr int kWarmup = 5;
+  constexpr int kIters = 20;
+  BarrierOutcome via_barrier;
+  {
+    Engine e;
+    Cluster c(e, cfg, 8);
+    auto b = c.make_barrier(kind, coll::Algorithm::kDissemination);
+    const auto r = run_consecutive_barriers(e, *b, kWarmup, kIters);
+    via_barrier = {r.per_iteration.samples(), e.events_scheduled(), e.events_fired(),
+                   std::string(b->name())};
+  }
+  BarrierOutcome via_collective;
+  {
+    Engine e;
+    Cluster c(e, cfg, 8);
+    auto op = make_collective(c, spec);
+    ASSERT_EQ(op->kind(), coll::OpKind::kBarrier);
+    OpRunPlan plan;
+    plan.warmup = kWarmup;
+    plan.iters = kIters;
+    const auto r = run_consecutive_ops(e, *op, plan);
+    EXPECT_EQ(r.value_errors, 0u);
+    via_collective = {r.per_iteration.samples(), e.events_scheduled(), e.events_fired(),
+                      std::string(op->name())};
+  }
+  ASSERT_EQ(via_barrier.series.size(), static_cast<std::size_t>(kIters));
+  EXPECT_TRUE(via_barrier.series == via_collective.series) << via_barrier.name;
+  EXPECT_EQ(via_barrier.events_scheduled, via_collective.events_scheduled) << via_barrier.name;
+  EXPECT_EQ(via_barrier.events_fired, via_collective.events_fired) << via_barrier.name;
+  if (same_name) {
+    EXPECT_EQ(via_barrier.name, via_collective.name);
+  }
+}
+
+coll::CollSpec barrier_spec(coll::Engine engine,
+                            coll::Algorithm algorithm = coll::Algorithm::kDissemination,
+                            int radix = 0) {
+  coll::CollSpec spec;  // op defaults to kBarrier
+  spec.engine = engine;
+  spec.algorithm = algorithm;
+  spec.radix = radix;
+  return spec;
+}
+
+TEST(BarrierIsACollective, MyrinetNic) {
+  expect_same_barrier<MyriCluster>(myri::lanaixp_cluster(), MyriBarrierKind::kNicCollective,
+                                   barrier_spec(coll::Engine::kNic));
+}
+
+TEST(BarrierIsACollective, MyrinetHost) {
+  expect_same_barrier<MyriCluster>(myri::lanaixp_cluster(), MyriBarrierKind::kHost,
+                                   barrier_spec(coll::Engine::kHost));
+}
+
+TEST(BarrierIsACollective, QuadricsNic) {
+  expect_same_barrier<ElanCluster>(elan::elan3_cluster(), ElanBarrierKind::kNicChained,
+                                   barrier_spec(coll::Engine::kNic));
+}
+
+TEST(BarrierIsACollective, QuadricsHost) {
+  // Quadrics' host barrier is elan_gsync's fixed gather-broadcast tree of
+  // degree 4; only its name differs from the generic host executor's.
+  expect_same_barrier<ElanCluster>(
+      elan::elan3_cluster(), ElanBarrierKind::kGsyncTree,
+      barrier_spec(coll::Engine::kHost, coll::Algorithm::kGatherBroadcast, 4),
+      /*same_name=*/false);
+}
+
+TEST(BarrierIsACollective, IbNic) {
+  expect_same_barrier<IbCluster>(ib::ib_cluster(), IbBarrierKind::kNicCollective,
+                                 barrier_spec(coll::Engine::kNic));
+}
+
+TEST(BarrierIsACollective, IbHost) {
+  expect_same_barrier<IbCluster>(ib::ib_cluster(), IbBarrierKind::kHost,
+                                 barrier_spec(coll::Engine::kHost));
+}
+
+TEST(BarrierIsACollective, NamesMatchTheBarrierFactories) {
+  Engine e;
+  MyriCluster c(e, myri::lanaixp_cluster(), 4);
+  EXPECT_EQ(make_collective(c, barrier_spec(coll::Engine::kNic))->name(),
+            "myri-nic-coll-dissemination");
+  EXPECT_EQ(make_collective(c, barrier_spec(coll::Engine::kHost))->name(),
+            "myri-host-dissemination");
+  coll::CollSpec allreduce = barrier_spec(coll::Engine::kNic);
+  allreduce.op = coll::OpKind::kAllreduce;
+  EXPECT_EQ(make_collective(c, allreduce)->name(), "myri-nic-allreduce");
 }
 
 }  // namespace

@@ -272,6 +272,23 @@ TEST(Validate, OverlapAppliesToValueOpsButExcludesWorkload) {
   EXPECT_NE(validate(s).find("--workload"), std::string::npos) << validate(s);
 }
 
+TEST(Validate, SkewWithOverlapIsRejected) {
+  // A split-phase run re-enters every rank as soon as its wait completes,
+  // so entry skew would be silently ignored; name the pair instead.
+  auto s = quick_spec();
+  s.overlap_us = 3.0;
+  s.skew_max_us = 5.0;
+  const std::string err = validate(s);
+  EXPECT_NE(err.find("--skew"), std::string::npos) << err;
+  EXPECT_NE(err.find("--overlap"), std::string::npos) << err;
+  EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+  s.skew_max_us = 0.0;  // either one alone is fine
+  EXPECT_EQ(validate(s), "");
+  s.overlap_us = -1.0;
+  s.skew_max_us = 5.0;
+  EXPECT_EQ(validate(s), "");
+}
+
 TEST(ToJson, CarriesSpecAndResultFields) {
   const auto r = run_experiment(quick_spec());
   const std::string j = to_json(r);

@@ -4,10 +4,10 @@
 //   benchdiff --threshold 2.5 --fail-on-fingerprint bench/baseline.json BENCH_suite.json
 //
 // Exit codes: 0 clean, 1 regression detected (mean latency grew past the
-// threshold on any common key, or a fingerprint changed when
-// --fail-on-fingerprint is set), 2 usage/parse error. CI runs this against
-// the committed bench/baseline.json so a perf or determinism break shows
-// up as a keyed delta in the job log.
+// threshold on any common key, or a fingerprint or executor impl_name
+// changed when --fail-on-fingerprint is set), 2 usage/parse error. CI runs
+// this against the committed bench/baseline.json so a perf or determinism
+// break shows up as a keyed delta in the job log.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,7 +25,8 @@ namespace {
                "[--host-threshold PCT] BASELINE CURRENT\n"
                "  --threshold PCT        mean-latency growth counted as a regression\n"
                "                         (default 5.0)\n"
-               "  --fail-on-fingerprint  a changed determinism fingerprint alone fails\n"
+               "  --fail-on-fingerprint  a changed determinism fingerprint (or executor\n"
+               "                         impl_name) alone fails\n"
                "  --host-threshold PCT   wall-clock drift flagged in the advisory\n"
                "                         host-time section (default 25.0); host time\n"
                "                         never affects the exit code\n"

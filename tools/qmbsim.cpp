@@ -69,7 +69,8 @@ struct Options {
       "           drop:nth=3,src=2,dst=4    dup:p=0.01,seed=7\n"
       "           reorder:nth=2,delay=10us  blackout:from=100us,until=250us\n"
       "  --skew US                                  max per-entry skew in us\n"
-      "         (each rank's every entry delays by a seeded uniform draw)\n"
+      "         (each rank's every entry delays by a seeded uniform draw;\n"
+      "         blocking runs only, not with --overlap)\n"
       "  --workload SPEC                            multi-tenant mode: N concurrent\n"
       "         groups issuing a collective mix from an open-loop arrival process,\n"
       "         plus optional background flood traffic. SPEC grammar (see cli.hpp):\n"
