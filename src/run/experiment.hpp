@@ -208,11 +208,12 @@ struct RunResult {
   /// registry, kept for the fingerprint and existing consumers.
   std::vector<obs::MetricValue> metrics;
 
-  /// Wall-clock duration of the whole run (warmup + timed iterations),
-  /// measured on steady_clock around the engine loop. Host-side throughput
-  /// observability only: noisy, machine-dependent, and deliberately NOT
-  /// part of fingerprint() — two runs with equal fingerprints may differ
-  /// arbitrarily here.
+  /// Wall-clock duration of the whole run, measured on steady_clock around
+  /// all of run_experiment after spec validation: cluster build and executor
+  /// set-up, warmup and timed iterations, trace export, and teardown — not
+  /// just the engine loop. Host-side throughput observability only: noisy,
+  /// machine-dependent, and deliberately NOT part of fingerprint() — two
+  /// runs with equal fingerprints may differ arbitrarily here.
   double host_seconds = 0.0;
 
   /// Simulator throughput: events fired per host second (0 when the run

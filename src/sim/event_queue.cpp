@@ -22,6 +22,7 @@ EventId EventQueue::push(SimTime at, EventCallback cb, SimTime sched,
   heap_.push_back(Entry{at, key, lineage, seq, slot, slot_gen_[slot]});
   std::push_heap(heap_.begin(), heap_.end());
   ++live_;
+  compact_if_stale();
   return EventId(slot, slot_gen_[slot]);
 }
 
@@ -45,30 +46,31 @@ void EventQueue::compact_if_stale() {
   // Sweep once dead entries exceed half the heap: mass cancellation (e.g. a
   // NACK-timeout storm being acked) must return memory pressure to O(live)
   // rather than O(ever-scheduled). Amortized O(1) per cancel: a sweep costs
-  // O(n) but at least n/2 cancels funded it.
+  // O(n) but at least n/2 cancels funded it. push() and pop() check too —
+  // firing live events past buried dead ones, or pushing across the floor,
+  // shifts the ratio without any cancel.
   if (heap_.size() < kCompactFloor || heap_.size() <= 2 * live_) return;
   std::erase_if(heap_, [this](const Entry& e) { return !is_live(e); });
   std::make_heap(heap_.begin(), heap_.end());
 }
 
-std::optional<SimTime> EventQueue::next_time() const {
-  if (live_ == 0) return std::nullopt;
-  if (is_live(heap_.front())) return heap_.front().at;
-  // The earliest heap entry was cancelled; scan for the earliest live one.
-  // Hit only when the next-to-fire event was cancelled and nothing has been
-  // popped since — rare, so the linear scan is acceptable.
-  SimTime best = SimTime::max();
-  for (const Entry& e : heap_) {
-    if (is_live(e) && e.at < best) best = e.at;
-  }
-  return best;
-}
-
-EventQueue::Fired EventQueue::pop() {
+void EventQueue::drop_dead_front() {
+  // Each dead entry is popped at most once, so the upkeep is amortized
+  // O(log n) per cancel whichever of next_time()/pop() meets it first.
   while (!heap_.empty() && !is_live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end());
     heap_.pop_back();
   }
+}
+
+std::optional<SimTime> EventQueue::next_time() {
+  drop_dead_front();
+  if (heap_.empty()) return std::nullopt;
+  return heap_.front().at;
+}
+
+EventQueue::Fired EventQueue::pop() {
+  drop_dead_front();
   assert(!heap_.empty() && "pop() on empty EventQueue");
   std::pop_heap(heap_.begin(), heap_.end());
   const Entry e = heap_.back();
@@ -76,6 +78,7 @@ EventQueue::Fired EventQueue::pop() {
   EventCallback cb = std::move(slot_cb_[e.slot]);
   release_slot(e.slot);
   --live_;
+  compact_if_stale();
   return Fired{e.at, std::move(cb), e.path.hops[0], e.lineage, e.path};
 }
 

@@ -39,9 +39,11 @@
 //
 // Cancellation is O(1) and allocation-free: every live event owns a slot in
 // a generation table; cancelling bumps the slot's generation, which orphans
-// the heap entry (detected when it surfaces, or swept by compaction when
-// dead entries outnumber live ones — NACK-timeout storms cancel thousands
-// of armed retransmit timers and must not leave the heap full of corpses).
+// the heap entry. Orphans are popped off the top when they surface — by
+// next_time() as well as pop(), so the front upkeep is amortized O(log n)
+// per cancel — or swept by compaction when dead entries outnumber live
+// ones (NACK-timeout storms cancel thousands of armed retransmit timers and
+// must not leave the heap full of corpses).
 // No hashing and no per-event allocation in the common case: callbacks are
 // small-buffer-optimized (sim::Callback) and slots are recycled through a
 // free list.
@@ -108,8 +110,10 @@ class EventQueue {
   /// cancelled, or the id is invalid.
   bool cancel(EventId id);
 
-  /// Time of the earliest live event, or nullopt when empty.
-  [[nodiscard]] std::optional<SimTime> next_time() const;
+  /// Time of the earliest live event, or nullopt when empty. Pops any
+  /// cancelled entries off the heap top first (which never reorders live
+  /// events), hence non-const.
+  [[nodiscard]] std::optional<SimTime> next_time();
 
   /// Removes and returns the earliest live event. Precondition: !empty().
   /// sched/lineage echo what push() recorded, so a sharded engine can
@@ -130,8 +134,9 @@ class EventQueue {
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_ - 1; }
 
   /// Heap entries currently held, live plus cancelled-but-unswept. Exposed
-  /// so tests can assert the compaction invariant: past kCompactFloor
-  /// entries, dead entries never exceed the live count.
+  /// so tests can assert the compaction invariant: after every push, cancel
+  /// and pop, a heap of kCompactFloor or more entries holds no more dead
+  /// entries than live ones.
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
@@ -169,6 +174,7 @@ class EventQueue {
 
   [[nodiscard]] bool is_live(const Entry& e) const { return slot_gen_[e.slot] == e.gen; }
   void release_slot(std::uint32_t slot);
+  void drop_dead_front();
   void compact_if_stale();
 
   std::vector<Entry> heap_;

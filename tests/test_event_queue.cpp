@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace qmb::sim {
@@ -86,6 +90,21 @@ TEST(EventQueue, NextTimeSkipsCancelledTop) {
   EXPECT_EQ(*q.next_time(), at_us(5));
 }
 
+TEST(EventQueue, NextTimeDropsCancelledTop) {
+  // Ten entries stay below kCompactFloor, so only next_time() itself can
+  // remove the cancelled top: it pops it rather than scanning around it.
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10; ++i) ids.push_back(q.push(at_us(10 - i), [] {}));
+  ASSERT_EQ(q.heap_entries(), 10u);
+  EXPECT_TRUE(q.cancel(ids.back()));  // the earliest, at 1 us
+  EXPECT_EQ(q.heap_entries(), 10u);
+  ASSERT_TRUE(q.next_time().has_value());
+  EXPECT_EQ(*q.next_time(), at_us(2));
+  EXPECT_EQ(q.heap_entries(), 9u);
+  EXPECT_EQ(q.size(), 9u);
+}
+
 TEST(EventQueue, NextTimeEmptyIsNullopt) {
   EventQueue q;
   EXPECT_FALSE(q.next_time().has_value());
@@ -124,6 +143,32 @@ TEST(EventQueue, MassCancelCompactsHeap) {
     ++fired;
   }
   EXPECT_EQ(fired, 10);
+}
+
+TEST(EventQueue, CompactionBoundHoldsAcrossPopsAndPushes) {
+  // Neither firing nor scheduling cancels anything, but both shift the
+  // dead/live ratio: popping the live events in front of buried dead ones,
+  // or pushing a nearly all-dead small heap across the floor.
+  EventQueue q;
+  std::vector<EventId> far;
+  for (int i = 0; i < 100; ++i) q.push(at_us(1 + i), [] {});
+  for (int i = 0; i < 100; ++i) far.push_back(q.push(at_us(1000 + i), [] {}));
+  for (int i = 0; i < 99; ++i) q.cancel(far[static_cast<std::size_t>(i)]);
+  EXPECT_EQ(q.heap_entries(), 200u);  // 99 dead of 200: not yet due a sweep
+  for (int i = 0; i < 100; ++i) {
+    q.pop();
+    EXPECT_LE(q.heap_entries(), std::max<std::size_t>(64, 2 * q.size()));
+  }
+  EXPECT_EQ(q.size(), 1u);
+
+  EventQueue small;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 63; ++i) ids.push_back(small.push(at_us(100 + i), [] {}));
+  for (int i = 0; i < 62; ++i) small.cancel(ids[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 3; ++i) {
+    small.push(at_us(200 + i), [] {});
+    EXPECT_LE(small.heap_entries(), std::max<std::size_t>(64, 2 * small.size()));
+  }
 }
 
 TEST(EventQueue, SmallHeapSkipsCompaction) {
@@ -216,6 +261,59 @@ TEST(EventQueue, StressInterleavedPushCancelPop) {
   while (!q.empty()) q.pop().cb();
   EXPECT_GT(fired, 0);
   EXPECT_EQ(q.total_scheduled(), 50u * 20u);
+}
+
+TEST(EventQueue, MatchesOrderedSetReference) {
+  // Randomized differential check against a std::set<(at, seq)> model:
+  // pushes with deliberate equal-time ties, cancels aimed at the earliest
+  // event (so dead entries keep surfacing on top) and at arbitrary, possibly
+  // stale ids, next_time() and pop(). Raw engine output only, so the op
+  // sequence is the same under every standard library.
+  EventQueue q;
+  std::set<std::pair<SimTime, std::uint64_t>> ref;
+  std::vector<std::pair<EventId, SimTime>> issued;  // index = push order
+  std::uint64_t fired = ~std::uint64_t{0};
+  std::mt19937_64 rng(0x5eed);
+  for (int step = 0; step < 60'000; ++step) {
+    // Phases of 2000 steps cycle through growth, a cancel storm and a drain,
+    // as {push, cancel} percentages; pops take the rest up to 95.
+    static constexpr std::uint64_t kMix[3][2] = {{55, 15}, {20, 60}, {25, 15}};
+    const auto [push_pct, cancel_pct] = kMix[(step / 2'000) % 3];
+    const std::uint64_t r = rng() % 100;
+    if (r < push_pct) {
+      const SimTime at = at_us(static_cast<std::int64_t>(rng() % 40));
+      const std::uint64_t seq = issued.size();
+      issued.emplace_back(q.push(at, [&fired, seq] { fired = seq; }), at);
+      ref.emplace(at, seq);
+    } else if (r < push_pct + cancel_pct && !issued.empty()) {
+      // A third of the cancels hit the earliest live event, a third a live
+      // one at a random time, the rest any id ever issued (often stale);
+      // the model says whether the cancel must succeed.
+      const std::uint64_t pick = rng() % 3;
+      std::uint64_t seq = rng() % issued.size();
+      if (pick == 0 && !ref.empty()) seq = ref.begin()->second;
+      if (pick == 1) {
+        const auto it = ref.lower_bound({at_us(static_cast<std::int64_t>(rng() % 40)), 0});
+        if (it != ref.end()) seq = it->second;
+      }
+      const bool pending = ref.erase({issued[seq].second, seq}) == 1;
+      EXPECT_EQ(q.cancel(issued[seq].first), pending) << "step " << step;
+    } else if (r >= push_pct + cancel_pct && r < 95 && !ref.empty()) {
+      const auto [at, seq] = *ref.begin();
+      ref.erase(ref.begin());
+      EventQueue::Fired f = q.pop();
+      f.cb();
+      EXPECT_EQ(f.at, at) << "step " << step;
+      EXPECT_EQ(fired, seq) << "step " << step;
+    }
+    // Every step, the 5 % that do nothing else included, checks the model.
+    const std::optional<SimTime> want =
+        ref.empty() ? std::nullopt : std::optional<SimTime>(ref.begin()->first);
+    ASSERT_EQ(q.next_time(), want) << "step " << step;
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_LE(q.heap_entries(), std::max<std::size_t>(64, 2 * q.size())) << "step " << step;
+  }
+  EXPECT_EQ(q.total_scheduled(), issued.size());
 }
 
 // The (time, insertion) tie-break is a contract the PDES engine builds on

@@ -260,5 +260,56 @@ TEST(WorkloadRun, FloodInterferenceRaisesTailLatency) {
   EXPECT_EQ(q.flood_sends, 0u);
 }
 
+// Open-loop arrivals beside flood traffic under wire loss: ACK and
+// retransmit timers are armed and cancelled constantly, so the engine's
+// run_until loop finds a cancelled entry on top of the event queue several
+// hundred times per run (572 on myrinet-xp, 462 on ib).
+// Fixed-rate arrivals draw nothing through libm, so these pins hold under
+// every compiler; any change to them is a change in what the simulation did.
+run::ExperimentSpec lossy_open_loop_spec(run::Network net) {
+  run::ExperimentSpec s;
+  s.network = net;
+  s.nodes = 16;
+  s.impl = run::Impl::kNic;
+  s.iters = 300;
+  s.warmup = 5;
+  s.seed = 7;
+  s.drop_prob = 0.001;
+  s.workload.groups = 4;
+  s.workload.group_size = 4;
+  s.workload.mix = {coll::OpKind::kBarrier, coll::OpKind::kAllreduce};
+  s.workload.arrival = Arrival::kFixedRate;
+  s.workload.period_us = 30.0;
+  s.workload.flood_streams = 1;
+  s.workload.flood_bytes = 2048;
+  s.workload.flood_period_us = 40.0;
+  s.workload.seed = 3;
+  return s;
+}
+
+TEST(WorkloadRun, LossyOpenLoopIsPinned) {
+  struct Pin {
+    run::Network net;
+    std::uint64_t events_scheduled;
+    std::uint64_t events_fired;
+    std::uint64_t retransmissions;
+    std::uint64_t fingerprint;
+  };
+  const Pin pins[] = {
+      {run::Network::kMyrinetXP, 68910, 63798, 9, 0x573567b6fc6ee87fULL},
+      {run::Network::kInfiniBand, 91355, 81378, 11, 0xaa1b3a85778d3537ULL},
+  };
+  for (const Pin& p : pins) {
+    const run::RunResult r = run::run_experiment(lossy_open_loop_spec(p.net));
+    const std::string net(run::to_string(p.net));
+    EXPECT_GT(r.packets_dropped, 0u) << net;
+    EXPECT_EQ(r.value_errors, 0u) << net;
+    EXPECT_EQ(r.events_scheduled, p.events_scheduled) << net;
+    EXPECT_EQ(r.events_fired, p.events_fired) << net;
+    EXPECT_EQ(r.retransmissions, p.retransmissions) << net;
+    EXPECT_EQ(r.fingerprint(), p.fingerprint) << net << std::hex << " 0x" << r.fingerprint();
+  }
+}
+
 }  // namespace
 }  // namespace qmb::load
