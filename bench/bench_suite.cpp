@@ -1,4 +1,5 @@
-// bench_suite — the whole figure set as one machine-readable artifact.
+// bench_suite — the whole figure set as one machine-readable artifact, and
+// the paper's tables.
 //
 // Runs the fig5–fig8 reproduction points plus the Sec. 3/6 ablation grid
 // through run::SweepRunner and writes BENCH_suite.json
@@ -11,14 +12,14 @@
 //   bench_suite                  # full grid, writes BENCH_suite.json
 //   bench_suite --quick          # CI-sized axes (seconds, not minutes)
 //   bench_suite --out suite.json --threads 4
+//   bench_suite --table fig5     # print one paper table (no JSON)
 //
-// The simulation is deterministic, so the latency numbers are exact
-// (wall-clock benchmarking of the simulator itself stays in the
-// google-benchmark binaries).
+// The simulation is deterministic, so the latency numbers are exact.
+// Wall-clock benchmarking of the simulator itself is perfbench/'s job.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -39,36 +40,31 @@ struct SuiteOptions {
   bool quick = false;
   std::string out = "BENCH_suite.json";
   unsigned threads = 0;
+  std::string table;
 };
 
 [[noreturn]] void usage(const char* argv0) {
   std::printf(
-      "usage: %s [--quick] [--out PATH] [--threads T]\n"
-      "  --quick      small node axes and fewer iterations (CI)\n"
-      "  --out PATH   output file (default BENCH_suite.json)\n"
-      "  --threads T  sweep worker threads (default: all cores)\n",
-      argv0);
+      "usage: %s [--quick] [--out PATH] [--threads T] | --table NAME [--threads T]\n"
+      "  --quick       small node axes and fewer iterations (CI)\n"
+      "  --out PATH    output file (default BENCH_suite.json)\n"
+      "  --threads T   sweep worker threads (default: all cores)\n"
+      "  --table NAME  print one paper table instead of writing the suite;\n"
+      "                NAME is one of: %s\n",
+      argv0, bench::paper_table_names().c_str());
   std::exit(2);
-}
-
-std::string impl_slug(Impl i) { return std::string(run::to_string(i)); }
-
-std::string alg_slug(coll::Algorithm a) {
-  return std::string(run::algorithm_cli_name(a));
 }
 
 /// "fig5/myrinet-l9/nic/barrier/ds/n8" — stable across runs and releases;
 /// benchdiff aligns suites on these keys.
 std::string key_for(const char* group, const run::ExperimentSpec& s) {
   std::string k = group;
-  k += '/';
-  k += std::string(run::to_string(s.network));
-  k += '/';
-  k += impl_slug(s.impl);
-  k += '/';
-  k += std::string(run::to_string(s.op));
-  k += '/';
-  k += alg_slug(s.algorithm);
+  for (const std::string_view part : {run::to_string(s.network), run::to_string(s.impl),
+                                      run::to_string(s.op),
+                                      run::algorithm_cli_name(s.algorithm)}) {
+    k += '/';
+    k += part;
+  }
   k += "/n";
   k += std::to_string(s.nodes);
   return k;
@@ -131,28 +127,10 @@ std::vector<SuitePoint> build_points(bool quick) {
 
   // Ablation (Sec. 3/6): each protocol simplification disabled in turn.
   const int abl_nodes = quick ? 8 : 16;
-  const auto abl = [&pts, abl_nodes](const char* slug, myri::CollFeatures f) {
-    run::ExperimentSpec s = bench::barrier_spec(Network::kMyrinetXP, abl_nodes,
-                                                Impl::kNic,
-                                                coll::Algorithm::kDissemination);
-    s.features = f;
-    pts.push_back({std::string("ablation/") + slug + "/n" +
-                       std::to_string(abl_nodes),
-                   s});
-  };
-  abl("full", myri::CollFeatures{});
-  myri::CollFeatures f{};
-  f.dedicated_queue = false;
-  abl("no-dedicated-queue", f);
-  f = myri::CollFeatures{};
-  f.static_packet = false;
-  abl("no-static-packet", f);
-  f = myri::CollFeatures{};
-  f.bitvector_record = false;
-  abl("no-bitvector-record", f);
-  f = myri::CollFeatures{};
-  f.receiver_driven = false;
-  abl("no-receiver-driven", f);
+  for (const bench::Ablation& a : bench::ablations()) {
+    pts.push_back({std::string("ablation/") + a.slug + "/n" + std::to_string(abl_nodes),
+                   bench::ablation_spec(abl_nodes, a.features)});
+  }
 
   // Multi-tenant tier: four concurrent 4-rank barrier groups with
   // fixed-rate arrivals under background flood at 0/25/50/75% of the
@@ -239,10 +217,14 @@ SuiteOptions parse(int argc, char** argv) {
       const int t = std::atoi(argv[++i]);
       if (t < 1) usage(argv[0]);
       o.threads = static_cast<unsigned>(t);
+    } else if (a == "--table" && i + 1 < argc) {
+      o.table = argv[++i];
     } else {
       usage(argv[0]);
     }
   }
+  // A table prints to stdout; the suite's --quick and --out do not apply.
+  if (!o.table.empty() && (o.quick || o.out != SuiteOptions{}.out)) usage(argv[0]);
   return o;
 }
 
@@ -250,6 +232,10 @@ SuiteOptions parse(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const SuiteOptions o = parse(argc, argv);
+  if (!o.table.empty()) {
+    if (!bench::print_paper_table(o.table, run::SweepRunner(o.threads))) usage(argv[0]);
+    return 0;
+  }
   auto points = build_points(o.quick);
   const int iters = o.quick ? 50 : bench::timed_iters();
   std::vector<run::ExperimentSpec> specs;

@@ -1,27 +1,14 @@
-// Shared helpers for the figure-reproduction benchmarks.
-//
-// Each bench binary prints its paper-style table(s) first — the rows a
-// reader compares against the paper's figure — then runs google-benchmark
-// timings of the simulator itself (wall time per simulated barrier), so the
-// binaries double as performance regression checks for the simulation.
+// Spec builders shared by bench_suite's gated points and its paper tables.
 //
 // Methodology follows the paper (Sec. 8): consecutive barriers, warm-up
 // iterations discarded, mean of the timed iterations. The simulation is
 // deterministic, so fewer timed iterations than the paper's 10,000 yield
 // the identical mean; QMB_BENCH_ITERS overrides for exact replication.
-//
-// All table points route through run::SweepRunner: the whole
-// (series x node-count) grid executes across the machine's cores, and the
-// per-point results are bit-identical to a single-threaded run
-// (QMB_SWEEP_THREADS=1 pins that path).
 #pragma once
 
-#include <cctype>
-#include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "run/substrate.hpp"
@@ -82,92 +69,37 @@ inline run::ExperimentSpec tenancy_spec(run::Network network, int nodes, run::Im
   return s;
 }
 
-/// Mean consecutive-barrier latency (us) of a single spec (the
-/// google-benchmark loops time this single-point path).
-inline double mean_us(const run::ExperimentSpec& spec) {
-  return run::run_experiment(spec).mean_us();
-}
-
-struct Series {
-  std::string name;
-  std::vector<double> values_us;  // parallel to the node-count axis
+/// One ablation row (Sec. 3/6): the LANai-XP NIC barrier with one of the
+/// collective protocol's four simplifications switched off.
+struct Ablation {
+  const char* slug;   // suite key part
+  const char* label;  // table row
+  myri::CollFeatures features;
 };
 
-/// One table column: a name plus the spec to run at each node count.
-struct SeriesSpec {
-  std::string name;
-  std::function<run::ExperimentSpec(int nodes)> spec_for;
-};
-
-/// Runs the whole (series x nodes) grid through one parallel sweep and
-/// returns the per-series latency columns in the given order.
-inline std::vector<Series> sweep_series(const std::vector<int>& nodes,
-                                        const std::vector<SeriesSpec>& defs) {
-  std::vector<run::ExperimentSpec> specs;
-  specs.reserve(defs.size() * nodes.size());
-  for (const auto& d : defs) {
-    for (const int n : nodes) specs.push_back(d.spec_for(n));
-  }
-  const run::SweepRunner runner;
-  const auto results = runner.run(specs);
-  std::vector<Series> out;
-  out.reserve(defs.size());
-  std::size_t k = 0;
-  for (const auto& d : defs) {
-    Series s{d.name, {}};
-    s.values_us.reserve(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) s.values_us.push_back(results[k++].mean_us());
-    out.push_back(std::move(s));
-  }
-  return out;
+inline std::vector<Ablation> ablations() {
+  return {{"full", "full collective protocol", {}},
+          {"no-dedicated-queue", "- dedicated group queue", {.dedicated_queue = false}},
+          {"no-static-packet", "- static send packet", {.static_packet = false}},
+          {"no-bitvector-record", "- bit-vector send record", {.bitvector_record = false}},
+          {"no-receiver-driven", "- receiver-driven retransmission",
+           {.receiver_driven = false}}};
 }
 
-/// Prints the table; additionally writes it as CSV into $QMB_CSV_DIR (one
-/// file per table, named after a slug of the title) for plotting.
-inline void print_table(const std::string& title, const std::vector<int>& nodes,
-                        const std::vector<Series>& series) {
-  std::printf("\n%s\n", title.c_str());
-  std::printf("%-8s", "nodes");
-  for (const auto& s : series) std::printf("%16s", s.name.c_str());
-  std::printf("\n");
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    std::printf("%-8d", nodes[i]);
-    for (const auto& s : series) std::printf("%16.2f", s.values_us[i]);
-    std::printf("\n");
-  }
-
-  const char* dir = std::getenv("QMB_CSV_DIR");
-  if (dir == nullptr) return;
-  std::string slug;
-  for (const char c : title) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      slug += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    } else if (!slug.empty() && slug.back() != '-') {
-      slug += '-';
-    }
-    if (slug.size() >= 60) break;
-  }
-  const std::string path = std::string(dir) + "/" + slug + ".csv";
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f, "nodes");
-    for (const auto& s : series) std::fprintf(f, ",%s", s.name.c_str());
-    std::fprintf(f, "\n");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      std::fprintf(f, "%d", nodes[i]);
-      for (const auto& s : series) std::fprintf(f, ",%.4f", s.values_us[i]);
-      std::fprintf(f, "\n");
-    }
-    std::fclose(f);
-  }
+inline run::ExperimentSpec ablation_spec(int nodes, const myri::CollFeatures& features) {
+  run::ExperimentSpec s = barrier_spec(run::Network::kMyrinetXP, nodes, run::Impl::kNic,
+                                       coll::Algorithm::kDissemination);
+  s.features = features;
+  return s;
 }
 
-inline void print_anchor(const char* what, double paper_us, double ours_us) {
-  std::printf("  %-52s paper %8.2f us   ours %8.2f us   (%+.0f%%)\n", what, paper_us,
-              ours_us, (ours_us - paper_us) / paper_us * 100.0);
-}
+// The paper tables of `bench_suite --table NAME` (bench/paper_tables.cpp).
 
-inline void print_factor(const char* what, double paper_factor, double ours_factor) {
-  std::printf("  %-52s paper %7.2fx    ours %7.2fx\n", what, paper_factor, ours_factor);
-}
+/// The accepted table names, space-separated, in usage order.
+std::string paper_table_names();
+
+/// Prints table `name`, running its points through `runner`. Returns false
+/// for an unknown name.
+bool print_paper_table(std::string_view name, const run::SweepRunner& runner);
 
 }  // namespace qmb::bench

@@ -40,7 +40,6 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
   std::map<std::string, bool> seen;
   char line[256];
   std::string table;
-  std::string host_table;
 
   for (const JsonValue& op : old_pts) {
     const std::string key(op.string_or("key", ""));
@@ -68,20 +67,6 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
     if (d.fingerprint_changed || d.impl_name_changed) ++rep.fingerprint_changes;
     if (d.impl_name_changed) ++rep.impl_name_changes;
 
-    // Advisory host-time drift: only when both suites carry the field.
-    d.old_host_ms = op.number_or("host_ms", 0.0);
-    d.new_host_ms = np.number_or("host_ms", 0.0);
-    if (d.old_host_ms > 0.0 && d.new_host_ms > 0.0) {
-      d.host_delta_pct = (d.new_host_ms - d.old_host_ms) / d.old_host_ms * 100.0;
-      if (d.host_delta_pct > opts.host_threshold_pct ||
-          d.host_delta_pct < -opts.host_threshold_pct) {
-        ++rep.host_drifts;
-        std::snprintf(line, sizeof line, "  %-44s %10.2f -> %10.2f ms  %+7.2f%%\n",
-                      d.key.c_str(), d.old_host_ms, d.new_host_ms, d.host_delta_pct);
-        host_table += line;
-      }
-    }
-
     if (d.regression || d.improvement || d.fingerprint_changed || d.impl_name_changed) {
       std::snprintf(line, sizeof line, "  %-44s %10.2f -> %10.2f us  %+7.2f%%%s%s",
                     d.key.c_str(), d.old_us, d.new_us, d.delta_pct,
@@ -108,13 +93,6 @@ BenchDiffReport diff_bench_suites(const JsonValue& baseline, const JsonValue& cu
   rep.text = line + table;
   for (const std::string& k : rep.added) rep.text += "  added:   " + k + "\n";
   for (const std::string& k : rep.removed) rep.text += "  removed: " + k + "\n";
-  if (rep.host_drifts > 0) {
-    std::snprintf(line, sizeof line,
-                  "host time (advisory, never gates): %d point(s) drifted beyond "
-                  "%.1f%%\n",
-                  rep.host_drifts, opts.host_threshold_pct);
-    rep.host_text = line + host_table;
-  }
   return rep;
 }
 

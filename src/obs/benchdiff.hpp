@@ -24,10 +24,6 @@ struct BenchDiffOptions {
   double threshold_pct = 5.0;
   /// When true, a fingerprint change alone fails the diff.
   bool fail_on_fingerprint = false;
-  /// Host-time drift beyond this (percent) is flagged in the advisory
-  /// section. Purely informational: host time is wall-clock noise, so it
-  /// never contributes to exit_code() regardless of this setting.
-  double host_threshold_pct = 25.0;
 };
 
 struct BenchPointDelta {
@@ -41,10 +37,6 @@ struct BenchPointDelta {
   /// Both suites name the executor and the names differ; also counted in
   /// fingerprint_changes.
   bool impl_name_changed = false;
-  // Advisory host-time comparison (0 when either suite lacks host fields).
-  double old_host_ms = 0.0;
-  double new_host_ms = 0.0;
-  double host_delta_pct = 0.0;
 };
 
 struct BenchDiffReport {
@@ -55,19 +47,10 @@ struct BenchDiffReport {
   int improvements = 0;
   int fingerprint_changes = 0;  // includes the impl_name changes
   int impl_name_changes = 0;
-  /// Points whose host time drifted beyond host_threshold_pct. Advisory
-  /// only — see exit_code().
-  int host_drifts = 0;
-  std::string text;  // human-readable summary table (blocking section)
-  /// Advisory host-time comparison, printed separately from `text` so the
-  /// blocking simulated-latency verdict is never conflated with wall-clock
-  /// noise. Empty when neither suite carries host_ms fields.
-  std::string host_text;
+  std::string text;  // human-readable summary table
 
   /// 0 = clean, 1 = regression (or fingerprint change when configured to
-  /// fail on it). Host-time drift deliberately never affects the exit
-  /// code: wall-clock is machine-dependent noise, only simulated latency
-  /// and fingerprints gate.
+  /// fail on it).
   [[nodiscard]] int exit_code(const BenchDiffOptions& opts) const {
     if (regressions > 0) return 1;
     if (opts.fail_on_fingerprint && fingerprint_changes > 0) return 1;

@@ -202,7 +202,9 @@ TEST(TraceBuffer, StringTableInternIdSpaceBoundary) {
   obs::StringTable tab;
   std::uint16_t last = 0;
   for (int i = 0; i < 65536; ++i) {
-    last = tab.intern("s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    last = tab.intern(name);
   }
   EXPECT_EQ(tab.size(), 65536u);
   EXPECT_EQ(last, 65535u);

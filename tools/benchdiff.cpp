@@ -21,15 +21,11 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--threshold PCT] [--fail-on-fingerprint] "
-               "[--host-threshold PCT] BASELINE CURRENT\n"
+               "usage: %s [--threshold PCT] [--fail-on-fingerprint] BASELINE CURRENT\n"
                "  --threshold PCT        mean-latency growth counted as a regression\n"
                "                         (default 5.0)\n"
                "  --fail-on-fingerprint  a changed determinism fingerprint (or executor\n"
                "                         impl_name) alone fails\n"
-               "  --host-threshold PCT   wall-clock drift flagged in the advisory\n"
-               "                         host-time section (default 25.0); host time\n"
-               "                         never affects the exit code\n"
                "exit: 0 clean, 1 regression, 2 usage or parse error\n",
                argv0);
   std::exit(2);
@@ -61,11 +57,6 @@ int main(int argc, char** argv) {
       if (end == nullptr || *end != '\0' || opts.threshold_pct < 0) usage(argv[0]);
     } else if (a == "--fail-on-fingerprint") {
       opts.fail_on_fingerprint = true;
-    } else if (a == "--host-threshold") {
-      if (i + 1 >= argc) usage(argv[0]);
-      char* end = nullptr;
-      opts.host_threshold_pct = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0' || opts.host_threshold_pct < 0) usage(argv[0]);
     } else if (a == "--help" || a == "-h") {
       usage(argv[0]);
     } else if (!a.empty() && a[0] == '-') {
@@ -84,7 +75,6 @@ int main(int argc, char** argv) {
     const auto current = qmb::obs::JsonValue::parse(slurp(paths[1]));
     const auto report = qmb::obs::diff_bench_suites(baseline, current, opts);
     std::fputs(report.text.c_str(), stdout);
-    if (!report.host_text.empty()) std::fputs(report.host_text.c_str(), stdout);
     return report.exit_code(opts);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "benchdiff: %s\n", e.what());
