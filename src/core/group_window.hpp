@@ -11,6 +11,15 @@
 // payload semantics of value collectives: payloads fold into the
 // accumulator as their step is consumed, sends carry the accumulator.
 //
+// Per-operation state is flat, like the paper's one record with a bit
+// vector: the window builds one coll::EdgeIndex for its rank's schedule
+// (on first use, so creating a group stays cheap), and each slot's executor keeps one arrival bit and (for value kinds) one
+// payload word per wait of that index, plus a reused buffer of early
+// arrivals stored by wait index. Recycling a slot zeroes bit words; once
+// both slots have run an operation, nothing on this path allocates.
+// Barriers install no payload consumer at all: their payloads are never
+// read.
+//
 // The window owns no cost model. Engines bind their hooks at compile time:
 // start() takes the send/complete callables the slot's ScheduleExecutor
 // is built with, plus an on_start hook that runs just before the schedule
@@ -18,11 +27,12 @@
 // counts exactly what it counts; per-slot engine state rides in SlotState.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -67,16 +77,14 @@ class GroupWindow {
    private:
     friend class GroupWindow;
     struct Early {
-      int peer;
-      std::uint32_t tag;
+      std::size_t wait;  // coll::EdgeIndex wait index
       std::int64_t value;
     };
     std::vector<Early> early;
-    std::unordered_map<std::uint64_t, std::int64_t> wait_values;  // folded at step consumption
   };
 
-  /// `schedule` must outlive the window. Executors point into the slots,
-  /// so the window never moves.
+  /// `schedule` must outlive the window. Executors point into the slots
+  /// and the index, so the window never moves.
   GroupWindow(const coll::RankSchedule& schedule, coll::OpKind kind, coll::ReduceOp reduce)
       : schedule_(&schedule), kind_(kind), reduce_(reduce) {}
   GroupWindow(const GroupWindow&) = delete;
@@ -100,16 +108,11 @@ class GroupWindow {
     op.active = true;
     if (!op.exec) bind(op, std::move(send), std::move(complete));
     on_start(op);
-    // Stash early payloads before starting: the executor may consume
-    // their steps during start() already.
-    for (const auto& ea : op.early) {
-      op.wait_values.emplace(edge_key(ea.peer, ea.tag), ea.value);
-    }
     op.exec->start();
     int duplicates = 0;
     if (!op.complete) {
       for (const auto& ea : op.early) {
-        if (!op.exec->on_arrival(ea.peer, ea.tag)) ++duplicates;
+        if (!op.exec->arrive(ea.wait, ea.value)) ++duplicates;
         if (op.complete) break;
       }
     }
@@ -125,20 +128,21 @@ class GroupWindow {
   /// Records a message from `peer` for operation `seq`. An arrival for an
   /// operation this rank has not started claims its slot (the peer raced
   /// one operation ahead); one for a seq two ahead of an unfinished slot
-  /// throws std::logic_error.
+  /// throws std::logic_error, and so does one whose (peer, tag) matches no
+  /// wait of this rank's schedule.
   Arrival arrive(std::uint32_t seq, int peer, std::uint32_t tag, std::int64_t value) {
+    const std::size_t wait = index().arrival(peer, tag);
     Op& slot = slots_[seq & 1];
     if (slot.in_use && slot.seq == seq) {
       if (slot.complete) return Arrival::kStale;
       if (!slot.active) {
-        slot.early.push_back({peer, tag, value});
+        slot.early.push_back({wait, value});
         return Arrival::kEarly;
       }
-      slot.wait_values.emplace(edge_key(peer, tag), value);
-      return slot.exec->on_arrival(peer, tag) ? Arrival::kDelivered : Arrival::kDuplicate;
+      return slot.exec->arrive(wait, value) ? Arrival::kDelivered : Arrival::kDuplicate;
     }
     if (slot.in_use && seq < slot.seq) return Arrival::kStale;
-    touch(seq).early.push_back({peer, tag, value});
+    touch(seq).early.push_back({wait, value});
     return Arrival::kEarly;
   }
 
@@ -152,11 +156,13 @@ class GroupWindow {
   /// Sequence number the next enter() will use.
   [[nodiscard]] std::uint32_t next_seq() const { return next_seq_; }
 
- private:
-  [[nodiscard]] static std::uint64_t edge_key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
+  /// Dense edge numbering of this rank's schedule, built on first use.
+  [[nodiscard]] const coll::EdgeIndex& index() {
+    if (!index_) index_.emplace(*schedule_);
+    return *index_;
   }
 
+ private:
   Op& touch(std::uint32_t seq) {
     Op& op = slots_[seq & 1];
     if (op.in_use && op.seq == seq) return op;
@@ -166,7 +172,6 @@ class GroupWindow {
     }
     if (op.exec) op.exec->reset();
     op.early.clear();
-    op.wait_values.clear();
     op.state.clear();
     op.seq = seq;
     op.in_use = true;
@@ -180,7 +185,7 @@ class GroupWindow {
   void bind(Op& op, Send send, Complete complete) {
     Op* opp = &op;
     op.exec = std::make_unique<coll::ScheduleExecutor>(
-        *schedule_,
+        index(),
         [opp, send = std::move(send)](const coll::Edge& e) mutable { send(*opp, e); },
         [opp, complete = std::move(complete)]() mutable {
           opp->complete = true;
@@ -188,18 +193,18 @@ class GroupWindow {
         });
     // Fold payloads only as their step is consumed (see ScheduleExecutor::
     // set_step_consumer): an early arrival must not leak into the values
-    // this rank sends during the same step.
-    op.exec->set_step_consumer([this, opp](const coll::Step& st) {
-      for (const coll::Edge& w : st.waits) {
-        const auto it = opp->wait_values.find(edge_key(w.peer, w.tag));
-        if (it != opp->wait_values.end()) {
-          opp->acc = coll::combine_value(kind_, reduce_, w.tag, opp->acc, it->second);
-        }
+    // this rank sends during the same step. A barrier's accumulator never
+    // changes, so it keeps no payloads.
+    if (kind_ == coll::OpKind::kBarrier) return;
+    op.exec->set_step_consumer([this, opp](const coll::Step& st, const std::int64_t* values) {
+      for (std::size_t j = 0; j < st.waits.size(); ++j) {
+        opp->acc = coll::combine_value(kind_, reduce_, st.waits[j].tag, opp->acc, values[j]);
       }
     });
   }
 
   const coll::RankSchedule* schedule_;
+  std::optional<coll::EdgeIndex> index_;
   coll::OpKind kind_;
   coll::ReduceOp reduce_;
   std::uint32_t next_seq_ = 0;

@@ -5,6 +5,8 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace qmb::coll {
 namespace {
@@ -612,10 +614,19 @@ bool schedule_is_correct_barrier(const GroupSchedule& g) {
   };
   std::deque<Msg> wire;
 
+  // A schedule that repeats an edge, or sends a message no wait expects,
+  // cannot run on the executor's dense index: not a correct barrier.
+  std::vector<EdgeIndex> index;
+  index.reserve(static_cast<std::size_t>(n));
+  try {
+    for (const RankSchedule& r : g.ranks) index.emplace_back(r);
+  } catch (const std::logic_error&) {
+    return false;
+  }
   std::vector<std::unique_ptr<ScheduleExecutor>> exec(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     exec[static_cast<std::size_t>(i)] = std::make_unique<ScheduleExecutor>(
-        g.ranks[static_cast<std::size_t>(i)],
+        index[static_cast<std::size_t>(i)],
         [&, i](const Edge& e) {
           wire.push_back(Msg{i, e.peer, e.tag, knows[static_cast<std::size_t>(i)]});
         },
@@ -627,11 +638,13 @@ bool schedule_is_correct_barrier(const GroupSchedule& g) {
     Msg m = std::move(wire.front());
     wire.pop_front();
     if (m.dst < 0 || m.dst >= n) return false;
+    const std::size_t wait = index[static_cast<std::size_t>(m.dst)].wait_of(m.src, m.tag);
+    if (wait == EdgeIndex::kNone) return false;
     auto& dst_knows = knows[static_cast<std::size_t>(m.dst)];
     for (int r = 0; r < n; ++r) {
       if (m.carried[static_cast<std::size_t>(r)]) dst_knows[static_cast<std::size_t>(r)] = true;
     }
-    exec[static_cast<std::size_t>(m.dst)]->on_arrival(m.src, m.tag);
+    exec[static_cast<std::size_t>(m.dst)]->arrive(wait);
   }
 
   for (int i = 0; i < n; ++i) {
@@ -643,9 +656,70 @@ bool schedule_is_correct_barrier(const GroupSchedule& g) {
   return true;
 }
 
-ScheduleExecutor::ScheduleExecutor(const RankSchedule& schedule, SendFn send,
-                                   CompleteFn complete)
-    : schedule_(&schedule), send_(std::move(send)), complete_(std::move(complete)) {}
+EdgeIndex::EdgeIndex(const RankSchedule& schedule) : schedule_(&schedule) {
+  // Numbers the edges in step order, then sorts them by key so an
+  // arrival's (peer, tag) finds its index by binary search.
+  waits_.reserve(static_cast<std::size_t>(schedule.total_waits()));
+  sends_.reserve(static_cast<std::size_t>(schedule.total_sends()));
+  begin_.reserve(schedule.steps.size() + 1);
+  for (const Step& st : schedule.steps) {
+    begin_.push_back(
+        {static_cast<std::uint32_t>(waits_.size()), static_cast<std::uint32_t>(sends_.size())});
+    for (const Edge& w : st.waits) {
+      waits_.push_back({key(w.peer, w.tag), static_cast<std::uint32_t>(waits_.size())});
+    }
+    for (const Edge& e : st.sends) {
+      sends_.push_back({key(e.peer, e.tag), static_cast<std::uint32_t>(sends_.size())});
+    }
+  }
+  begin_.push_back(
+      {static_cast<std::uint32_t>(waits_.size()), static_cast<std::uint32_t>(sends_.size())});
+  const auto sort_unique = [](std::vector<Entry>& edges, const char* what) {
+    const auto by_key = [](const Entry& x, const Entry& y) { return x.key < y.key; };
+    std::sort(edges.begin(), edges.end(), by_key);
+    const auto same = [](const Entry& x, const Entry& y) { return x.key == y.key; };
+    if (std::adjacent_find(edges.begin(), edges.end(), same) != edges.end()) {
+      throw std::logic_error(std::string("schedule ") + what +
+                             " twice on one (peer, tag) edge");
+    }
+  };
+  sort_unique(waits_, "waits");
+  sort_unique(sends_, "sends");
+}
+
+std::size_t EdgeIndex::find(const std::vector<Entry>& edges, std::uint64_t k) {
+  const auto it = std::lower_bound(edges.begin(), edges.end(), k,
+                                   [](const Entry& e, std::uint64_t v) { return e.key < v; });
+  return it != edges.end() && it->key == k ? it->index : kNone;
+}
+
+std::size_t EdgeIndex::wait_of(int peer, std::uint32_t tag) const {
+  return find(waits_, key(peer, tag));
+}
+
+std::size_t EdgeIndex::send_of(int peer, std::uint32_t tag) const {
+  return find(sends_, key(peer, tag));
+}
+
+std::size_t EdgeIndex::arrival(int peer, std::uint32_t tag) const {
+  const std::size_t w = wait_of(peer, tag);
+  if (w == kNone) {
+    throw std::logic_error("arrival from rank " + std::to_string(peer) + " with tag " +
+                           std::to_string(tag) + " matches no wait of the schedule");
+  }
+  return w;
+}
+
+ScheduleExecutor::ScheduleExecutor(const EdgeIndex& index, SendFn send, CompleteFn complete)
+    : index_(&index),
+      send_(std::move(send)),
+      complete_(std::move(complete)),
+      arrived_((index.waits() + 63) / 64, 0) {}
+
+void ScheduleExecutor::set_step_consumer(StepConsumeFn fn) {
+  consume_ = std::move(fn);
+  values_.assign(consume_ ? index_->waits() : 0, 0);
+}
 
 void ScheduleExecutor::start() {
   assert(!started_ && "start() on a running executor; reset() first");
@@ -654,15 +728,19 @@ void ScheduleExecutor::start() {
   advance();
 }
 
-bool ScheduleExecutor::on_arrival(int peer, std::uint32_t tag) {
-  if (!arrived_.insert(key(peer, tag)).second) return false;  // duplicate
+bool ScheduleExecutor::arrive(std::size_t wait, std::int64_t value) {
+  std::uint64_t& word = arrived_[wait >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (wait & 63);
+  if ((word & bit) != 0) return false;  // duplicate: the first payload stays
+  word |= bit;
+  if (!values_.empty()) values_[wait] = value;
   if (started_ && !complete()) advance();
   return true;
 }
 
 void ScheduleExecutor::reset() {
-  arrived_.clear();
-  sent_.clear();
+  std::fill(arrived_.begin(), arrived_.end(), 0);
+  sends_issued_ = 0;
   step_ = 0;
   started_ = false;
 }
@@ -670,34 +748,47 @@ void ScheduleExecutor::reset() {
 std::vector<Edge> ScheduleExecutor::missing_current_waits() const {
   std::vector<Edge> missing;
   if (!started_ || complete()) return missing;
-  for (const Edge& w : schedule_->steps[step_].waits) {
-    if (!arrived_.contains(key(w.peer, w.tag))) missing.push_back(w);
+  const std::vector<Edge>& waits = steps()[step_].waits;
+  const std::size_t first = index_->wait_begin(step_);
+  for (std::size_t j = 0; j < waits.size(); ++j) {
+    if (!has_arrived(first + j)) missing.push_back(waits[j]);
   }
   return missing;
 }
 
 bool ScheduleExecutor::has_sent(int peer, std::uint32_t tag) const {
-  return sent_.contains(key(peer, tag));
+  const std::size_t s = index_->send_of(peer, tag);
+  return s != EdgeIndex::kNone && s < sends_issued_;
+}
+
+bool ScheduleExecutor::all_arrived(std::size_t begin, std::size_t end) const {
+  while (begin < end) {
+    const std::size_t shift = begin & 63;
+    const std::size_t n = std::min<std::size_t>(64 - shift, end - begin);
+    const std::uint64_t mask = (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1)
+                               << shift;
+    if ((arrived_[begin >> 6] & mask) != mask) return false;
+    begin += n;
+  }
+  return true;
 }
 
 void ScheduleExecutor::advance() {
-  // Issue sends of each newly entered step, then stop at the first step
-  // whose waits are not yet satisfied. Step entry is detected by whether its
-  // sends were issued (sent_ acts as the entry marker).
-  while (step_ < schedule_->steps.size()) {
-    const Step& st = schedule_->steps[step_];
-    for (const Edge& s : st.sends) {
-      if (sent_.insert(key(s.peer, s.tag)).second) send_(s);
+  // Issue the sends of each newly entered step, then stop at the first step
+  // whose waits are not yet satisfied. Sends go out in dense index order, so
+  // sends_issued_ is both the cursor and the has_sent() record.
+  const std::vector<Step>& steps = this->steps();
+  while (step_ < steps.size()) {
+    const Step& st = steps[step_];
+    const std::size_t first_send = index_->send_begin(step_);
+    while (sends_issued_ < first_send + st.sends.size()) {
+      const Edge& e = st.sends[sends_issued_ - first_send];
+      ++sends_issued_;
+      send_(e);
     }
-    bool satisfied = true;
-    for (const Edge& w : st.waits) {
-      if (!arrived_.contains(key(w.peer, w.tag))) {
-        satisfied = false;
-        break;
-      }
-    }
-    if (!satisfied) return;
-    if (consume_ && !st.waits.empty()) consume_(st);
+    const std::size_t first_wait = index_->wait_begin(step_);
+    if (!all_arrived(first_wait, first_wait + st.waits.size())) return;
+    if (consume_ && !st.waits.empty()) consume_(st, values_.data() + first_wait);
     ++step_;
   }
   complete_();

@@ -25,16 +25,16 @@
 // The schedule is *data*: the same GroupSchedule drives the host-based GM
 // barrier, the direct NIC scheme, the NIC collective protocol, and the
 // Quadrics chained-RDMA barrier. ScheduleExecutor is the shared step-advance
-// state machine those executors embed.
+// state machine those executors embed; EdgeIndex gives each rank's waits
+// and sends the dense numbering its flat per-operation state is keyed by.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace qmb::coll {
@@ -200,42 +200,107 @@ struct GroupSchedule {
 /// rank's entry. Returns true when the schedule is a correct barrier.
 [[nodiscard]] bool schedule_is_correct_barrier(const GroupSchedule& s);
 
-/// Step-advance state machine for one rank in one barrier operation.
+/// Dense numbering of one rank's schedule edges, built once per schedule
+/// (never per operation): the paper's "bit vector of expected messages"
+/// (Sec. 6.3) needs every expected message to own one bit.
+///
+/// Waits are numbered in step order, so step s's waits are the contiguous
+/// range [wait_begin(s), wait_begin(s + 1)) and step s's j-th wait is
+/// wait_begin(s) + j; sends likewise. An arriving (peer, tag) is mapped to
+/// its wait by binary search over the sorted edge keys. Every generator
+/// waits on each (peer, tag) at most once and sends on each at most once
+/// (tests/test_schedule_properties.cpp checks all of them); construction
+/// throws std::logic_error for a schedule that does not.
+class EdgeIndex {
+ public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// `schedule` must outlive the index.
+  explicit EdgeIndex(const RankSchedule& schedule);
+
+  [[nodiscard]] const RankSchedule& schedule() const { return *schedule_; }
+  [[nodiscard]] std::size_t waits() const { return waits_.size(); }
+  [[nodiscard]] std::size_t sends() const { return sends_.size(); }
+  [[nodiscard]] std::size_t wait_begin(std::size_t step) const { return begin_[step].wait; }
+  [[nodiscard]] std::size_t send_begin(std::size_t step) const { return begin_[step].send; }
+
+  /// Dense index of the wait on (peer, tag), or kNone.
+  [[nodiscard]] std::size_t wait_of(int peer, std::uint32_t tag) const;
+  /// Dense index of the send to (peer, tag), or kNone.
+  [[nodiscard]] std::size_t send_of(int peer, std::uint32_t tag) const;
+  /// wait_of() for a message that arrived from `peer` with `tag`. An
+  /// arrival that matches no wait is a protocol bug: throws
+  /// std::logic_error.
+  [[nodiscard]] std::size_t arrival(int peer, std::uint32_t tag) const;
+
+ private:
+  struct Entry {
+    std::uint64_t key;    // (peer, tag)
+    std::uint32_t index;  // dense index of that edge
+  };
+  struct Begin {
+    std::uint32_t wait, send;
+  };
+  [[nodiscard]] static std::uint64_t key(int peer, std::uint32_t tag) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
+  }
+  [[nodiscard]] static std::size_t find(const std::vector<Entry>& edges, std::uint64_t k);
+
+  const RankSchedule* schedule_;
+  std::vector<Entry> waits_, sends_;  // sorted by key
+  std::vector<Begin> begin_;          // first index of each step, plus the end
+};
+
+/// Step-advance state machine for one rank in one operation.
 ///
 /// The embedding protocol engine supplies `send` (issue a message to a peer;
-/// timing is the engine's business) and `complete` (this rank's barrier is
-/// locally complete). Early arrivals for future steps are buffered;
-/// duplicate arrivals (retransmissions) are idempotent.
+/// timing is the engine's business) and `complete` (this rank's operation
+/// is locally complete). Per-operation state is flat: one arrival bit per
+/// wait (indexed by EdgeIndex), one payload word per wait when a step
+/// consumer reads them, and a count of the sends issued so far. reset()
+/// zeroes the bit words; operations allocate nothing. Early arrivals for
+/// future steps are recorded; duplicate arrivals (retransmissions) are
+/// idempotent and keep the first payload.
 class ScheduleExecutor {
  public:
   using SendFn = std::function<void(const Edge&)>;
   using CompleteFn = std::function<void()>;
 
-  ScheduleExecutor(const RankSchedule& schedule, SendFn send, CompleteFn complete);
+  /// `index` (and its schedule) must outlive the executor.
+  ScheduleExecutor(const EdgeIndex& index, SendFn send, CompleteFn complete);
 
   /// Begins the operation: issues step-0 sends, advances through any steps
-  /// whose waits are already satisfied (e.g. empty or buffered).
+  /// whose waits are already satisfied (e.g. empty or recorded early).
   void start();
 
-  /// Records a message from `peer` with `tag`; advances steps as satisfied.
-  /// Returns false for a duplicate (already recorded) arrival.
-  bool on_arrival(int peer, std::uint32_t tag);
+  /// Records the arrival of wait `wait` (an EdgeIndex wait index) carrying
+  /// `value`; advances steps as satisfied. Returns false for a duplicate
+  /// (already recorded) arrival, whose payload is discarded.
+  bool arrive(std::size_t wait, std::int64_t value = 0);
+
+  /// arrive() for the wait on (peer, tag); throws std::logic_error if this
+  /// rank's schedule has no such wait.
+  bool on_arrival(int peer, std::uint32_t tag, std::int64_t value = 0) {
+    return arrive(index_->arrival(peer, tag), value);
+  }
 
   /// Installs a callback invoked when a step's waits are all present and
   /// the step is consumed — after that step's sends went out, before the
-  /// next step's sends are issued. This is where a value-carrying protocol
-  /// folds the step's payloads into its accumulator: folding earlier (at
-  /// arrival time) would corrupt recursive-doubling partials, because an
-  /// early arrival for step s must not leak into the value sent at step s.
-  using StepConsumeFn = std::function<void(const Step&)>;
-  void set_step_consumer(StepConsumeFn fn) { consume_ = std::move(fn); }
+  /// next step's sends are issued. `values[j]` is the payload of
+  /// `step.waits[j]`. This is where a value-carrying protocol folds the
+  /// step's payloads into its accumulator: folding earlier (at arrival
+  /// time) would corrupt recursive-doubling partials, because an early
+  /// arrival for step s must not leak into the value sent at step s.
+  /// Payloads are only kept once a consumer is installed.
+  using StepConsumeFn = std::function<void(const Step&, const std::int64_t* values)>;
+  void set_step_consumer(StepConsumeFn fn);
 
-  /// Re-arms for the next operation; buffered future arrivals are NOT kept
+  /// Re-arms for the next operation; recorded future arrivals are NOT kept
   /// (the caller owns cross-operation windowing).
   void reset();
 
   [[nodiscard]] bool started() const { return started_; }
-  [[nodiscard]] bool complete() const { return started_ && step_ >= schedule_->steps.size(); }
+  [[nodiscard]] bool complete() const { return started_ && step_ >= steps().size(); }
   [[nodiscard]] std::size_t current_step() const { return step_; }
 
   /// Waits of the current step not yet arrived (receiver-driven NACK targets).
@@ -246,17 +311,20 @@ class ScheduleExecutor {
   [[nodiscard]] bool has_sent(int peer, std::uint32_t tag) const;
 
  private:
-  static std::uint64_t key(int peer, std::uint32_t tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(peer)) << 32) | tag;
+  [[nodiscard]] const std::vector<Step>& steps() const { return index_->schedule().steps; }
+  [[nodiscard]] bool has_arrived(std::size_t wait) const {
+    return (arrived_[wait >> 6] >> (wait & 63)) & 1U;
   }
+  [[nodiscard]] bool all_arrived(std::size_t begin, std::size_t end) const;
   void advance();
 
-  const RankSchedule* schedule_;
+  const EdgeIndex* index_;
   SendFn send_;
   CompleteFn complete_;
   StepConsumeFn consume_;
-  std::unordered_set<std::uint64_t> arrived_;
-  std::unordered_set<std::uint64_t> sent_;
+  std::vector<std::uint64_t> arrived_;  // one bit per wait
+  std::vector<std::int64_t> values_;    // one payload per wait; empty without consume_
+  std::size_t sends_issued_ = 0;        // sends [0, sends_issued_) went out
   std::size_t step_ = 0;
   bool started_ = false;
 };

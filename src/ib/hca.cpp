@@ -79,7 +79,7 @@ void Hca::post_write(int dst_node, IbWrite body, std::uint32_t payload_bytes) {
     SendQp& q = send_qps_[dst_node];
     IbWrite stamped = body;
     stamped.psn = q.next_psn++;
-    q.unacked.push_back({stamped, wire});
+    q.window.push_back({stamped, wire});
     ++stats_.writes_posted;
     const std::uint64_t flow = fabric_->send(
         net::Packet(addr_, net::NicAddr(dst_node), wire, stamped));
@@ -94,7 +94,7 @@ void Hca::post_write(int dst_node, IbWrite body, std::uint32_t payload_bytes) {
             core::BarrierTag::encode(stamped.group, stamped.seq, stamped.tag),
             static_cast<std::int64_t>(flow));
     }
-    if (!q.timer_armed) arm_rto(dst_node);
+    if (!q.timer_armed) arm_rto(dst_node, q);
   });
 }
 
@@ -206,18 +206,28 @@ void Hca::send_ack(int dst_node, std::uint32_t psn, bool nak) {
   });
 }
 
+void Hca::SendQp::ack_below(std::uint32_t psn) {
+  while (!idle() && oldest().body.psn < psn) ++acked;
+  if (idle()) {
+    window.clear();  // keeps the capacity
+    acked = 0;
+  } else if (acked >= 32 && 2 * acked >= window.size()) {
+    // A window that never drains still reclaims its acked prefix.
+    window.erase(window.begin(), window.begin() + static_cast<std::ptrdiff_t>(acked));
+    acked = 0;
+  }
+}
+
 void Hca::handle_ack(int peer, const IbAck& a) {
   SendQp& q = send_qps_[peer];
-  while (!q.unacked.empty() && q.unacked.front().body.psn < a.psn) {
-    q.unacked.pop_front();
-  }
+  q.ack_below(a.psn);
   if (a.nak) {
     trace("nak_rx", peer, a.psn);
     if (skip_retransmit_) return;  // planted bug: recovery disabled
     retransmit_window(peer);
     return;
   }
-  if (q.unacked.empty()) {
+  if (q.idle()) {
     if (q.timer_armed) {
       engine_->cancel(q.rto_timer);
       q.timer_armed = false;
@@ -226,28 +236,27 @@ void Hca::handle_ack(int peer, const IbAck& a) {
     // Progress: restart the timer for the new oldest unacked request.
     if (q.timer_armed) engine_->cancel(q.rto_timer);
     q.timer_armed = false;
-    arm_rto(peer);
+    arm_rto(peer, q);
   }
 }
 
-void Hca::arm_rto(int peer) {
+void Hca::arm_rto(int peer, SendQp& q) {
   if (skip_retransmit_) return;
-  SendQp& q = send_qps_[peer];
   assert(!q.timer_armed);
   q.timer_armed = true;
-  q.rto_timer = engine_->schedule(config_->rto, [this, peer] {
-    SendQp& sq = send_qps_[peer];
-    sq.timer_armed = false;
-    if (sq.unacked.empty()) return;
+  // Map entries never move, so the timer holds on to the QP itself.
+  q.rto_timer = engine_->schedule(config_->rto, [this, peer, qp = &q] {
+    qp->timer_armed = false;
+    if (qp->idle()) return;
     ++stats_.rto_fires;
-    trace("rto_fire", peer, sq.unacked.front().body.psn);
+    trace("rto_fire", peer, qp->oldest().body.psn);
     retransmit_window(peer);
   });
 }
 
 void Hca::retransmit_window(int peer) {
   SendQp& q = send_qps_[peer];
-  if (q.unacked.empty()) return;
+  if (q.idle()) return;
   if (q.timer_armed) {
     engine_->cancel(q.rto_timer);
     q.timer_armed = false;
@@ -256,13 +265,14 @@ void Hca::retransmit_window(int peer) {
   // re-fetch charge; the receiver's PSN check discards any overlap.
   unit_.exec(config_->qp_process, [this, peer] {
     SendQp& sq = send_qps_[peer];
-    for (const PendingWrite& pw : sq.unacked) {
+    for (std::size_t i = sq.acked; i < sq.window.size(); ++i) {
+      const PendingWrite& pw = sq.window[i];
       ++stats_.retransmissions;
       const std::uint64_t flow = fabric_->send(
           net::Packet(addr_, net::NicAddr(peer), pw.wire_bytes, pw.body));
       trace("retransmit", peer, pw.body.psn, static_cast<std::int64_t>(flow));
     }
-    if (!sq.unacked.empty() && !sq.timer_armed) arm_rto(peer);
+    if (!sq.idle() && !sq.timer_armed) arm_rto(peer, sq);
   });
 }
 
@@ -307,19 +317,18 @@ void Hca::create_group(IbGroupDesc desc) {
     throw std::invalid_argument("ib collective group id already registered");
   }
   const std::uint32_t id = desc.group_id;
-  groups_.try_emplace(id, std::move(desc));
+  groups_.emplace(id, std::move(desc));
 }
 
 void Hca::collective_enter(std::uint32_t group, std::int64_t value,
                            std::function<void(std::int64_t)> done) {
   // The doorbell dispatch shares the WQE-processing unit charge.
   unit_.exec(config_->qp_process, [this, group, value, done = std::move(done)]() mutable {
-    auto it = groups_.find(group);
-    assert(it != groups_.end() && "collective_enter on unknown group");
-    Group& g = it->second;
+    Group* gp = groups_.find(group);
+    assert(gp != nullptr && "collective_enter on unknown group");
+    Group& g = *gp;
     Op& op = g.window.enter(value);
     op.state.done = std::move(done);
-    Group* gp = &g;
     g.window.start(
         op, [this, gp](Op& o, const coll::Edge& e) { group_send(*gp, o.seq, e, o.acc); },
         [this, gp](Op& o) { finish_op(*gp, o); },
@@ -352,9 +361,9 @@ void Hca::group_send(Group& g, std::uint32_t seq, const coll::Edge& e,
 }
 
 void Hca::handle_group_event(const IbWrite& w) {
-  auto it = groups_.find(w.group);
-  if (it == groups_.end()) return;
-  Group& g = it->second;
+  Group* gp = groups_.find(w.group);
+  if (gp == nullptr) return;
+  Group& g = *gp;
   // The transport delivers exactly once: nothing arrives twice or after
   // completion.
   if (g.window.arrive(w.seq, static_cast<int>(w.src_rank), w.tag, w.value) ==

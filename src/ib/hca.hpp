@@ -13,12 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "core/group_table.hpp"
 #include "core/group_window.hpp"
 #include "core/schedule.hpp"
 #include "ib/config.hpp"
@@ -125,9 +126,18 @@ class Hca {
   };
   struct SendQp {
     std::uint32_t next_psn = 0;
-    std::deque<PendingWrite> unacked;  // PSN order; front is the oldest
+    // Go-back-N window in PSN order: entries from `acked` on are unacked,
+    // the oldest first. A vector allocates nothing until the QP's first
+    // post (most QPs of a large barrier carry one write per operation).
+    std::vector<PendingWrite> window;
+    std::size_t acked = 0;
     sim::EventId rto_timer;
     bool timer_armed = false;
+
+    [[nodiscard]] bool idle() const { return acked == window.size(); }
+    [[nodiscard]] const PendingWrite& oldest() const { return window[acked]; }
+    /// Retires every request with a PSN below `psn`.
+    void ack_below(std::uint32_t psn);
   };
   struct RecvQp {
     std::uint32_t expected_psn = 0;
@@ -149,7 +159,7 @@ class Hca {
   void deliver_request(int src_node, const IbWrite& w);
   void send_ack(int dst_node, std::uint32_t psn, bool nak);
   void handle_ack(int peer, const IbAck& a);
-  void arm_rto(int peer);
+  void arm_rto(int peer, SendQp& q);
   void retransmit_window(int peer);
   void post_atomic(int dst_node, IbWrite::Op op, std::uint32_t slot, std::int64_t compare,
                    std::int64_t swap_or_add, AtomicDone done);
@@ -175,7 +185,7 @@ class Hca {
   std::unordered_map<std::uint32_t, std::int64_t> atomic_words_;
   std::unordered_map<std::uint32_t, AtomicDone> pending_atomics_;
   std::uint32_t next_atomic_token_ = 1;
-  std::unordered_map<std::uint32_t, Group> groups_;
+  core::GroupTable<Group> groups_;
 };
 
 }  // namespace qmb::ib

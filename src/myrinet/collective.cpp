@@ -32,13 +32,19 @@ void CollectiveEngine::create_group(GroupDesc desc) {
     throw std::invalid_argument("my_rank outside rank_to_node");
   }
   const std::uint32_t id = desc.group_id;
-  groups_.try_emplace(id, std::move(desc));
+  groups_.emplace(id, std::move(desc));
 }
 
 CollectiveEngine::Group& CollectiveEngine::group_of(std::uint32_t id) {
-  auto it = groups_.find(id);
-  assert(it != groups_.end());
-  return it->second;
+  Group* g = groups_.find(id);
+  assert(g != nullptr);
+  return *g;
+}
+
+const std::int64_t* CollectiveEngine::sent_value(Group& g, const Op& op, int peer,
+                                                 std::uint32_t tag) {
+  if (!op.exec || !op.exec->has_sent(peer, tag)) return nullptr;
+  return &op.state.sent_values[g.window.index().send_of(peer, tag)];
 }
 
 std::uint32_t CollectiveEngine::send_cycles(const CollFeatures& f) const {
@@ -96,11 +102,12 @@ void CollectiveEngine::host_enter_value(std::uint32_t group, std::int64_t value,
         op,
         [this, gp](Op& o, const coll::Edge& e) {
           const std::int64_t v = o.acc;
-          o.state.sent_values[msg_key(gp->desc.group_id, o.seq, e.tag, e.peer)] = v;
+          o.state.sent_values[gp->window.index().send_of(e.peer, e.tag)] = v;
           send_msg(*gp, o.seq, e, false, v);
         },
         [this, gp](Op& o) { finish_op(*gp, o); },
         [this, gp](Op& o) {
+          o.state.sent_values.resize(gp->window.index().sends());  // sized by the first op
           if (gp->desc.features.receiver_driven) arm_nack_timer(*gp, o);
           nic_.trace("coll_enter", gp->desc.group_id, o.seq);
         });
@@ -171,12 +178,11 @@ void CollectiveEngine::arm_msg_timer(Group* gp, std::uint64_t key, std::uint32_t
   it->second.timer = nic_.engine().schedule(cfg_.ack_timeout, [this, gp, key, seq] {
     auto rit = msg_records_.find(key);
     if (rit == msg_records_.end()) return;  // ACKed meanwhile
+    const coll::Edge edge{rit->second.peer_rank, rit->second.tag};
     const Op* slot = gp->window.find(seq);
-    const std::int64_t value =
-        slot != nullptr && slot->state.sent_values.contains(key)
-            ? slot->state.sent_values.at(key)
-            : 0;
-    send_msg(*gp, seq, coll::Edge{rit->second.peer_rank, rit->second.tag}, true, value);
+    const std::int64_t* sent =
+        slot != nullptr ? sent_value(*gp, *slot, edge.peer, edge.tag) : nullptr;
+    send_msg(*gp, seq, edge, true, sent != nullptr ? *sent : 0);
     arm_msg_timer(gp, key, seq);
   });
 }
@@ -240,12 +246,12 @@ bool CollectiveEngine::on_packet(net::Packet&& p) {
     const CollPacket body = *c;
     const std::uint64_t flow = p.id;
     nic_.exec(cfg_.cyc_coll_recv, [this, body, flow] {
-      auto git = groups_.find(body.group);
-      if (git == groups_.end()) {
+      Group* gp = groups_.find(body.group);
+      if (gp == nullptr) {
         ++stats_.stale_dropped;
         return;
       }
-      Group& g = git->second;
+      Group& g = *gp;
       nic_.trace("coll_recv", static_cast<std::int64_t>(body.src_rank),
                  core::BarrierTag::encode(body.group, body.barrier_seq, body.tag),
                  static_cast<std::int64_t>(flow));
@@ -299,9 +305,9 @@ void CollectiveEngine::deliver_arrival(Group& g, std::uint32_t seq, int peer_ran
 }
 
 void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
-  auto git = groups_.find(n.group);
-  if (git == groups_.end()) return;
-  Group& g = git->second;
+  Group* gp = groups_.find(n.group);
+  if (gp == nullptr) return;
+  Group& g = *gp;
   ++stats_.nacks_received;
   nic_.trace("coll_nack_rx", n.dst_rank,
              core::BarrierTag::encode(n.group, n.barrier_seq, n.tag),
@@ -309,10 +315,9 @@ void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
   const coll::Edge edge{static_cast<int>(n.dst_rank), n.tag};
   Op* slot = g.window.find(n.barrier_seq);
   if (slot != nullptr && slot->exec) {
-    const std::uint64_t key = msg_key(n.group, n.barrier_seq, n.tag, edge.peer);
-    if (slot->exec->has_sent(edge.peer, edge.tag)) {
+    if (const std::int64_t* sent = sent_value(g, *slot, edge.peer, edge.tag)) {
       if (g.desc.features.debug_skip_retransmit) return;  // fuzzer's planted bug
-      send_msg(g, n.barrier_seq, edge, true, slot->state.sent_values.at(key));
+      send_msg(g, n.barrier_seq, edge, true, *sent);
     }
     // Not sent yet: we are behind; the normal send will cover it.
     return;
@@ -328,8 +333,7 @@ void CollectiveEngine::handle_nack(const CollNack& n, std::uint64_t flow) {
 }
 
 void CollectiveEngine::handle_ack(const CollAck& a) {
-  auto git = groups_.find(a.group);
-  if (git == groups_.end()) return;
+  if (!groups_.contains(a.group)) return;
   const std::uint64_t key =
       msg_key(a.group, a.barrier_seq, a.tag, static_cast<int>(a.acker_rank));
   auto it = msg_records_.find(key);

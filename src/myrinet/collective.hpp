@@ -10,8 +10,8 @@
 //     of pool buffers and no host DMA — the entire payload is one integer
 //     already in NIC SRAM (Sec. 6.2);
 //   * keeps ONE send record per barrier operation with a bit vector of
-//     expected messages (here: the ScheduleExecutor arrival set) instead of
-//     per-packet records (Sec. 6.3);
+//     expected messages (here: the ScheduleExecutor's arrival bit words,
+//     indexed by coll::EdgeIndex) instead of per-packet records (Sec. 6.3);
 //   * uses receiver-driven retransmission: no ACKs; a receiver missing an
 //     expected message past the timeout NACKs the sender, halving the packet
 //     count (Sec. 6.3).
@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/group_table.hpp"
 #include "core/group_window.hpp"
 #include "core/schedule.hpp"
 #include "myrinet/nic.hpp"
@@ -112,12 +113,11 @@ class CollectiveEngine {
   // Per-operation engine state riding in the group window's slots.
   struct Slot {
     std::function<void(std::int64_t)> done;
-    std::unordered_map<std::uint64_t, std::int64_t> sent_values;  // for NACK resends
+    // Value each send carried, by EdgeIndex send index, for resends; an
+    // entry is meaningful once the executor has_sent() it this operation.
+    std::vector<std::int64_t> sent_values;
     sim::EventId nack_timer;  // dead by the time a slot recycles (finish_op cancels)
-    void clear() {
-      done = nullptr;
-      sent_values.clear();
-    }
+    void clear() { done = nullptr; }
   };
   using Window = core::GroupWindow<Slot>;
   using Op = Window::Op;
@@ -141,6 +141,10 @@ class CollectiveEngine {
   };
 
   Group& group_of(std::uint32_t id);
+  /// Value `op` carried on the send to (peer, tag), or null if `op` has
+  /// not issued that send.
+  [[nodiscard]] static const std::int64_t* sent_value(Group& g, const Op& op, int peer,
+                                                      std::uint32_t tag);
   void deliver_arrival(Group& g, std::uint32_t seq, int peer_rank, std::uint32_t tag,
                        std::int64_t value);
   void send_msg(Group& g, std::uint32_t seq, const coll::Edge& e, bool is_retransmit,
@@ -160,7 +164,7 @@ class CollectiveEngine {
   Nic& nic_;
   const LanaiConfig& cfg_;
   CollStats stats_;
-  std::unordered_map<std::uint32_t, Group> groups_;
+  core::GroupTable<Group> groups_;
   std::unordered_map<std::uint64_t, MsgRecord> msg_records_;  // ablation only
 };
 

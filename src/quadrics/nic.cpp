@@ -114,18 +114,17 @@ void Nic::create_group(ElanGroupDesc desc) {
     throw std::invalid_argument("elan barrier group id already registered");
   }
   const std::uint32_t id = desc.group_id;
-  groups_.try_emplace(id, std::move(desc));
+  groups_.emplace(id, std::move(desc));
 }
 
 void Nic::collective_enter(std::uint32_t group, std::int64_t value,
                            std::function<void(std::int64_t)> done) {
   unit_.exec(config_->command_process, [this, group, value, done = std::move(done)]() mutable {
-    auto it = groups_.find(group);
-    assert(it != groups_.end() && "collective_enter on unknown group");
-    Group& g = it->second;
+    Group* gp = groups_.find(group);
+    assert(gp != nullptr && "collective_enter on unknown group");
+    Group& g = *gp;
     Op& op = g.window.enter(value);
     op.state.done = std::move(done);
-    Group* gp = &g;
     g.window.start(
         op, [this, gp](Op& o, const coll::Edge& e) { barrier_send(*gp, o.seq, e, o.acc); },
         [this, gp](Op& o) { finish_barrier(*gp, o); },
@@ -157,9 +156,9 @@ void Nic::barrier_send(Group& g, std::uint32_t seq, const coll::Edge& e,
 }
 
 void Nic::handle_barrier_event(const ElanRdma& r) {
-  auto it = groups_.find(r.group);
-  if (it == groups_.end()) return;
-  Group& g = it->second;
+  Group* gp = groups_.find(r.group);
+  if (gp == nullptr) return;
+  Group& g = *gp;
   // Hardware-reliable network: nothing arrives twice or after completion.
   if (g.window.arrive(r.seq, static_cast<int>(r.src_rank), r.tag, r.value) ==
       core::Arrival::kEarly) {

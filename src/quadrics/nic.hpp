@@ -10,9 +10,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "core/group_table.hpp"
 #include "core/group_window.hpp"
 #include "core/schedule.hpp"
 #include "net/fabric.hpp"
@@ -131,7 +131,7 @@ class Nic {
   ProbeHandler probe_handler_;
   GoHandler go_handler_;
   std::uint64_t tset_round_ = 0;
-  std::unordered_map<std::uint32_t, Group> groups_;
+  core::GroupTable<Group> groups_;
 };
 
 }  // namespace qmb::elan

@@ -1,4 +1,5 @@
-// Zero-allocation assertion for the fabric packet hot path.
+// Zero-allocation assertions for the fabric packet hot path and the
+// collective operation window.
 //
 // The whole test binary's operator new/delete are replaced with counting
 // versions (every variant, including sized/aligned/nothrow, so the count is
@@ -9,6 +10,10 @@
 // zero heap allocations. This is the load-bearing claim behind the route
 // cache, the inline PacketPayload, and the enlarged sim::Callback inline
 // storage: regressing any of them makes this count non-zero.
+//
+// The same holds one layer up: once both slots of a GroupWindow have run an
+// operation, further operations (early arrivals included) reuse the slots'
+// arrival words, payload arrays and early buffers without allocating.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,9 +23,11 @@
 #include <new>
 #include <vector>
 
+#include "core/schedule.hpp"
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "window_harness.hpp"
 
 namespace {
 
@@ -177,3 +184,62 @@ TEST(HotpathAlloc, SteadyStateSweepPerformsZeroAllocations) {
 
 }  // namespace
 }  // namespace qmb::net
+
+namespace qmb::core {
+namespace {
+
+/// Runs `ops` operations of rank 0 of `g` through a WindowHarness. Every
+/// other operation first receives all of its successor's messages early,
+/// so the next start() replays a full early buffer.
+void run_window_ops(WindowHarness& w, const coll::RankSchedule& rank0, int ops) {
+  for (int i = 0; i < ops; ++i) {
+    const std::uint32_t seq = w.start(i);
+    if (i % 2 == 0) {
+      for (const coll::Step& st : rank0.steps) {
+        for (const coll::Edge& e : st.waits) w.on_arrival(seq + 1, e.peer, e.tag, 3);
+      }
+    }
+    for (const coll::Step& st : rank0.steps) {
+      for (const coll::Edge& e : st.waits) w.on_arrival(seq, e.peer, e.tag, 2);
+    }
+    ASSERT_TRUE(w.is_complete(seq));
+  }
+}
+
+struct WindowCase {
+  const char* name;
+  coll::GroupSchedule schedule;
+  coll::OpKind kind;
+};
+
+TEST(HotpathAlloc, SteadyStateWindowOpsPerformZeroAllocations) {
+  const WindowCase cases[] = {
+      {"n64 dissemination barrier",
+       coll::make_barrier_schedule(coll::Algorithm::kDissemination, 64),
+       coll::OpKind::kBarrier},
+      {"n64 allreduce", coll::make_allreduce_schedule(64), coll::OpKind::kAllreduce},
+  };
+  for (const WindowCase& c : cases) {
+    const coll::RankSchedule& rank0 = c.schedule.ranks[0];
+    std::uint64_t sends = 0;
+    std::uint64_t completions = 0;
+    WindowHarness w(
+        rank0, [&](std::uint32_t, const coll::Edge&, std::int64_t) { ++sends; },
+        [&](std::uint32_t, std::int64_t) { ++completions; }, c.kind);
+    run_window_ops(w, rank0, 4);  // both slots bound and grown
+
+    g_allocs.store(0);
+    g_counting.store(true);
+    run_window_ops(w, rank0, 100);
+    g_counting.store(false);
+    const std::uint64_t allocs = g_allocs.load();
+
+    EXPECT_EQ(completions, 104u) << c.name;
+    EXPECT_EQ(sends, 104u * static_cast<std::uint64_t>(rank0.total_sends())) << c.name;
+    EXPECT_EQ(allocs, 0u) << c.name << ": 100 window operations allocated " << allocs
+                          << " times";
+  }
+}
+
+}  // namespace
+}  // namespace qmb::core

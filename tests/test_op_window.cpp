@@ -115,6 +115,82 @@ TEST(OpWindow, EarlyValueNotFoldedIntoSameStepSend) {
   EXPECT_EQ(sent[1].value, 101);
 }
 
+TEST(OpWindow, DuplicatedEarlyArrivalFoldsFirstValue) {
+  // Rank 0 of a 4-rank PE allreduce waits on rank 1 (tag 0), then rank 2
+  // (tag 1). A retransmitted early message carrying a different payload
+  // must not replace the first copy.
+  Harness h(4, 0, coll::OpKind::kAllreduce, coll::Algorithm::kPairwiseExchange);
+  EXPECT_EQ(h.window->on_arrival(0, 1, 0, 100), Arrival::kEarly);
+  EXPECT_EQ(h.window->on_arrival(0, 1, 0, 900), Arrival::kEarly);
+  h.window->start(1);
+  EXPECT_EQ(h.window->last_start_duplicates(), 1);
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1, 5), Arrival::kDelivered);
+  ASSERT_EQ(h.completed.size(), 1u);
+  EXPECT_EQ(h.completed[0].second, 106);  // 1 + 100 + 5: the first copy folded
+}
+
+TEST(OpWindow, DuplicatedRunningArrivalFoldsFirstValue) {
+  Harness h(4, 0, coll::OpKind::kAllreduce, coll::Algorithm::kPairwiseExchange);
+  h.window->start(1);
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1, 30), Arrival::kDelivered);  // a step ahead
+  EXPECT_EQ(h.window->on_arrival(0, 2, 1, 70), Arrival::kDuplicate);
+  EXPECT_EQ(h.window->on_arrival(0, 1, 0, 4), Arrival::kDelivered);
+  ASSERT_EQ(h.completed.size(), 1u);
+  EXPECT_EQ(h.completed[0].second, 35);
+}
+
+TEST(OpWindow, AllreduceWithEarlyAndDuplicateArrivalsIsPinned) {
+  // Rank 0 of a 6-rank allreduce: absorb rank 4's registration (kTagPre),
+  // exchange with rank 1 (tag 0) and rank 2 (tag 1), release rank 4 with
+  // the result (kTagPost). Three overlapping operations, with early,
+  // duplicated and stale arrivals carrying conflicting payloads; every
+  // sent value and result below is pinned.
+  const coll::GroupSchedule g = coll::make_allreduce_schedule(6);
+  std::vector<Sent> sent;
+  std::vector<std::pair<std::uint32_t, std::int64_t>> done;
+  WindowHarness w(
+      g.ranks[0],
+      [&](std::uint32_t seq, const coll::Edge& e, std::int64_t v) {
+        sent.push_back({seq, e, v});
+      },
+      [&](std::uint32_t seq, std::int64_t r) { done.emplace_back(seq, r); },
+      coll::OpKind::kAllreduce);
+  using coll::kTagPre;
+  w.on_arrival(0, 4, kTagPre, 1);
+  w.on_arrival(0, 4, kTagPre, 2);  // duplicate, different payload
+  w.start(10);                     // pre consumed: 11; sends 11 to rank 1
+  w.on_arrival(0, 2, 1, 7);        // a step early
+  w.on_arrival(1, 1, 0, 50);       // operation 1, early
+  w.on_arrival(0, 1, 0, 3);        // 14; sends 14 to rank 2; then + 7 = 21
+  w.on_arrival(0, 1, 0, 4);        // stale
+  w.start(11);                     // op 1 blocks on its pre step
+  w.on_arrival(1, 4, kTagPre, 60);
+  w.on_arrival(1, 4, kTagPre, 61);  // duplicate
+  w.on_arrival(2, 4, kTagPre, 5);   // operation 2, early
+  w.on_arrival(2, 4, kTagPre, 6);   // operation 2, early duplicate
+  w.on_arrival(1, 2, 1, 9);
+  w.start(12);
+  w.on_arrival(2, 1, 0, -3);
+  w.on_arrival(2, 2, 1, 100);
+  w.on_arrival(2, 2, 1, -100);  // stale
+  const std::vector<std::pair<std::uint32_t, std::int64_t>> want_done = {
+      {0, 21}, {1, 130}, {2, 114}};
+  EXPECT_EQ(done, want_done);
+  std::vector<std::int64_t> values;
+  for (const Sent& s : sent) values.push_back(s.value);
+  const std::vector<std::int64_t> want_values = {11, 14, 21, 71, 121, 130, 17, 14, 114};
+  EXPECT_EQ(values, want_values);
+  EXPECT_EQ(sent.back().edge, (coll::Edge{4, coll::kTagPost}));
+}
+
+TEST(OpWindow, ArrivalMatchingNoWaitThrows) {
+  Harness h(4, 0);  // rank 0 waits on (3, tag 0) and (2, tag 1) only
+  h.window->start();
+  EXPECT_THROW(h.window->on_arrival(0, 1, 0), std::logic_error);
+  EXPECT_THROW(h.window->on_arrival(0, 3, 1), std::logic_error);
+  EXPECT_THROW(h.window->on_arrival(1, 2, 0), std::logic_error);  // also when early
+}
+
 TEST(OpWindow, NextSeqAdvances) {
   Harness h(2, 0);
   EXPECT_EQ(h.window->next_seq(), 0u);

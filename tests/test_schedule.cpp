@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -347,7 +348,8 @@ TEST(ScheduleExecutor, IssuesStepSendsOnEntry) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
   std::vector<Edge> sent;
   bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [&](const Edge& e) { sent.push_back(e); },
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [&](const Edge& e) { sent.push_back(e); },
                       [&] { complete = true; });
   ex.start();
   ASSERT_EQ(sent.size(), 1u);  // step 0 send only
@@ -359,7 +361,8 @@ TEST(ScheduleExecutor, AdvancesThroughArrivals) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
   std::vector<Edge> sent;
   bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [&](const Edge& e) { sent.push_back(e); },
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [&](const Edge& e) { sent.push_back(e); },
                       [&] { complete = true; });
   ex.start();
   EXPECT_TRUE(ex.on_arrival(3, 0));  // step-0 wait
@@ -373,7 +376,8 @@ TEST(ScheduleExecutor, BuffersEarlyArrivals) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
   int sends = 0;
   bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [&](const Edge&) { ++sends; }, [&] { complete = true; });
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [&](const Edge&) { ++sends; }, [&] { complete = true; });
   // Both arrivals land before start.
   ex.on_arrival(3, 0);
   ex.on_arrival(2, 1);
@@ -385,7 +389,8 @@ TEST(ScheduleExecutor, BuffersEarlyArrivals) {
 
 TEST(ScheduleExecutor, DuplicateArrivalReturnsFalse) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 4);
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [] {});
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [](const Edge&) {}, [] {});
   ex.start();
   EXPECT_TRUE(ex.on_arrival(3, 0));
   EXPECT_FALSE(ex.on_arrival(3, 0));
@@ -393,7 +398,8 @@ TEST(ScheduleExecutor, DuplicateArrivalReturnsFalse) {
 
 TEST(ScheduleExecutor, MissingCurrentWaitsReported) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 8);
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [] {});
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [](const Edge&) {}, [] {});
   ex.start();
   auto missing = ex.missing_current_waits();
   ASSERT_EQ(missing.size(), 1u);
@@ -407,7 +413,8 @@ TEST(ScheduleExecutor, MissingCurrentWaitsReported) {
 
 TEST(ScheduleExecutor, HasSentTracksIssuedSends) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 8);
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [] {});
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [](const Edge&) {}, [] {});
   ex.start();
   EXPECT_TRUE(ex.has_sent(1, 0));
   EXPECT_FALSE(ex.has_sent(2, 1));  // step 1 not entered yet
@@ -418,7 +425,8 @@ TEST(ScheduleExecutor, HasSentTracksIssuedSends) {
 TEST(ScheduleExecutor, ResetAllowsReuse) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 2);
   int completions = 0;
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [&] { ++completions; });
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [](const Edge&) {}, [&] { ++completions; });
   ex.start();
   ex.on_arrival(1, 0);
   EXPECT_EQ(completions, 1);
@@ -432,9 +440,83 @@ TEST(ScheduleExecutor, ResetAllowsReuse) {
 TEST(ScheduleExecutor, SingleRankCompletesImmediately) {
   const auto g = make_barrier_schedule(Algorithm::kDissemination, 1);
   bool complete = false;
-  ScheduleExecutor ex(g.ranks[0], [](const Edge&) {}, [&] { complete = true; });
+  const EdgeIndex idx(g.ranks[0]);
+  ScheduleExecutor ex(idx, [](const Edge&) {}, [&] { complete = true; });
   ex.start();
   EXPECT_TRUE(complete);
+}
+
+TEST(ScheduleExecutor, WaitsSpanManyWords) {
+  // The remote-atomic root waits on every other rank in one step: 199
+  // waits, four bit words.
+  const auto g = make_barrier_schedule(Algorithm::kRemoteAtomic, 200);
+  const EdgeIndex idx(g.ranks[0]);
+  int sends = 0;
+  int completions = 0;
+  ScheduleExecutor ex(idx, [&](const Edge&) { ++sends; }, [&] { ++completions; });
+  for (int round = 0; round < 2; ++round) {
+    ex.start();
+    for (int peer = 199; peer >= 2; --peer) EXPECT_TRUE(ex.on_arrival(peer, kTagUp));
+    EXPECT_FALSE(ex.on_arrival(64, kTagUp));
+    EXPECT_EQ(completions, round);
+    const auto missing = ex.missing_current_waits();
+    ASSERT_EQ(missing.size(), 1u);
+    EXPECT_EQ(missing[0], (Edge{1, kTagUp}));
+    EXPECT_FALSE(ex.has_sent(1, kTagDown));
+    EXPECT_TRUE(ex.on_arrival(1, kTagUp));
+    EXPECT_EQ(completions, round + 1);
+    EXPECT_EQ(sends, 199 * (round + 1));
+    EXPECT_TRUE(ex.has_sent(199, kTagDown));
+    ex.reset();
+  }
+}
+
+TEST(ScheduleExecutor, ConsumerSeesStepPayloadsFirstCopyWins) {
+  const auto g = make_barrier_schedule(Algorithm::kDissemination, 8);
+  const EdgeIndex idx(g.ranks[0]);  // waits (7,0) (6,1) (4,2)
+  ScheduleExecutor ex(idx, [](const Edge&) {}, [] {});
+  std::vector<std::int64_t> folded;
+  ex.set_step_consumer([&](const Step& st, const std::int64_t* values) {
+    for (std::size_t j = 0; j < st.waits.size(); ++j) folded.push_back(values[j]);
+  });
+  EXPECT_TRUE(ex.on_arrival(6, 1, 60));
+  EXPECT_FALSE(ex.on_arrival(6, 1, 61));
+  ex.start();
+  EXPECT_TRUE(ex.on_arrival(4, 2, 40));
+  EXPECT_TRUE(ex.on_arrival(7, 0, 70));
+  EXPECT_TRUE(ex.complete());
+  EXPECT_EQ(folded, (std::vector<std::int64_t>{70, 60, 40}));
+}
+
+TEST(EdgeIndex, NumbersEdgesInStepOrder) {
+  const auto g = make_barrier_schedule(Algorithm::kDissemination, 8);
+  const EdgeIndex idx(g.ranks[0]);
+  EXPECT_EQ(idx.waits(), 3u);
+  EXPECT_EQ(idx.sends(), 3u);
+  EXPECT_EQ(idx.wait_of(7, 0), 0u);
+  EXPECT_EQ(idx.wait_of(6, 1), 1u);
+  EXPECT_EQ(idx.wait_of(4, 2), 2u);
+  EXPECT_EQ(idx.send_of(1, 0), 0u);
+  EXPECT_EQ(idx.send_of(4, 2), 2u);
+  EXPECT_EQ(idx.send_of(3, 0), EdgeIndex::kNone);
+  EXPECT_EQ(idx.wait_begin(1), 1u);
+  EXPECT_EQ(idx.wait_begin(3), 3u);
+  EXPECT_EQ(idx.send_begin(2), 2u);
+  EXPECT_EQ(idx.wait_of(1, 0), EdgeIndex::kNone);
+  EXPECT_EQ(idx.arrival(6, 1), 1u);
+  EXPECT_THROW((void)idx.arrival(1, 0), std::logic_error);
+}
+
+TEST(EdgeIndex, RejectsRepeatedEdges) {
+  RankSchedule twice_waited;
+  twice_waited.steps.resize(2);
+  twice_waited.steps[0].waits.push_back({1, 0});
+  twice_waited.steps[1].waits.push_back({1, 0});
+  EXPECT_THROW(EdgeIndex{twice_waited}, std::logic_error);
+  RankSchedule twice_sent;
+  twice_sent.steps.resize(1);
+  twice_sent.steps[0].sends = {{2, 5}, {2, 5}};
+  EXPECT_THROW(EdgeIndex{twice_sent}, std::logic_error);
 }
 
 // A deliberately broken schedule must be rejected by the checker.

@@ -6,11 +6,18 @@
 // These properties are the ones that catch fold-ordering bugs: an early
 // arrival folded at arrival time (instead of at step consumption) yields
 // order-dependent allreduce results.
+//
+// The edge-matching property is the one the executor's dense wait index
+// rests on: every send of every generator lands on exactly one wait, so an
+// arrival's (peer, tag) names one bit of the receiver's arrival words.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -202,6 +209,107 @@ TEST(OrderInvariance, TwoOverlappingOperationsStayIsolated) {
     for (const auto v : results[0]) EXPECT_EQ(v, 10);           // 1+2+3+4
     for (const auto v : results[1]) EXPECT_EQ(v, 406);          // 100..103 summed
   }
+}
+
+/// Schedule edges as (rank, peer, tag) triples, sorted: `sends` holds
+/// (sender, receiver, tag), `waits` holds (waiter, expected sender, tag).
+struct EdgeSets {
+  std::vector<std::tuple<int, int, std::uint32_t>> sends, waits;
+};
+
+EdgeSets edge_sets(const GroupSchedule& g) {
+  EdgeSets e;
+  for (int r = 0; r < g.size; ++r) {
+    for (const Step& st : g.ranks[static_cast<std::size_t>(r)].steps) {
+      for (const Edge& s : st.sends) e.sends.emplace_back(r, s.peer, s.tag);
+      for (const Edge& w : st.waits) e.waits.emplace_back(r, w.peer, w.tag);
+    }
+  }
+  std::sort(e.sends.begin(), e.sends.end());
+  std::sort(e.waits.begin(), e.waits.end());
+  return e;
+}
+
+/// Empty when every send i -> p (tag t) matches exactly one wait (i, t) at
+/// p, no rank waits twice on one (peer, tag) and no rank sends twice on
+/// one; otherwise the first offending edge.
+std::string edge_mismatch(const GroupSchedule& g) {
+  const EdgeSets e = edge_sets(g);
+  const auto show = [](const char* what, const std::tuple<int, int, std::uint32_t>& t) {
+    return std::string(what) + " rank " + std::to_string(std::get<0>(t)) + " peer " +
+           std::to_string(std::get<1>(t)) + " tag " + std::to_string(std::get<2>(t));
+  };
+  if (const auto it = std::adjacent_find(e.waits.begin(), e.waits.end());
+      it != e.waits.end()) {
+    return show("repeated wait:", *it);
+  }
+  if (const auto it = std::adjacent_find(e.sends.begin(), e.sends.end());
+      it != e.sends.end()) {
+    return show("repeated send:", *it);
+  }
+  for (const auto& [from, to, tag] : e.sends) {
+    if (!std::binary_search(e.waits.begin(), e.waits.end(), std::make_tuple(to, from, tag))) {
+      return show("unmatched send:", {from, to, tag});
+    }
+  }
+  if (e.sends.size() != e.waits.size()) {
+    return "a wait has no matching send (" + std::to_string(e.waits.size()) + " waits, " +
+           std::to_string(e.sends.size()) + " sends)";
+  }
+  return {};
+}
+
+TEST(EdgeMatching, EverySendMatchesExactlyOneWait) {
+  std::vector<std::pair<std::string, GroupSchedule>> schedules;
+  const auto add = [&](std::string name, GroupSchedule g) {
+    schedules.emplace_back(std::move(name), std::move(g));
+  };
+  for (int n = 1; n <= 70; ++n) {
+    const std::string at = " n=" + std::to_string(n);
+    for (const Algorithm a : kBarrierAlgorithms) {
+      for (const int radix : {0, 2, 3, 5, 8}) {
+        add(std::string(to_string(a)) + " radix=" + std::to_string(radix) + at,
+            make_barrier_schedule(a, n, radix));
+      }
+    }
+    for (const int root : {0, 1, n / 2, n - 1}) {
+      if (root >= n) continue;
+      const std::string r = " root=" + std::to_string(root) + at;
+      add("bcast d=2" + r, make_bcast_schedule(n, root, 2));
+      add("bcast d=3" + r, make_bcast_schedule(n, root, 3));
+      add("binomial bcast" + r, make_binomial_bcast_schedule(n, root));
+    }
+    add("allreduce" + at, make_allreduce_schedule(n));
+    add("fway allreduce" + at, make_fway_allreduce_schedule(n));
+    add("allgather" + at, make_allgather_schedule(n));
+    add("alltoall" + at, make_alltoall_schedule(n));
+  }
+  for (const int n : {1024, 4096}) {
+    for (const Algorithm a : kBarrierAlgorithms) {
+      add(std::string(to_string(a)) + " n=" + std::to_string(n), make_barrier_schedule(a, n));
+    }
+  }
+  std::size_t widest = 0;
+  for (const auto& [name, g] : schedules) {
+    ASSERT_EQ(edge_mismatch(g), "") << name;
+    for (const RankSchedule& r : g.ranks) {
+      widest = std::max(widest, static_cast<std::size_t>(r.total_waits()));
+    }
+  }
+  // The remote-atomic root waits on every other rank: one operation's
+  // arrival words must span far more than 64 bits.
+  EXPECT_EQ(widest, 4095u);
+}
+
+TEST(EdgeMatching, DetectsRepeatedAndUnmatchedEdges) {
+  GroupSchedule g = make_barrier_schedule(Algorithm::kDissemination, 4);
+  ASSERT_EQ(edge_mismatch(g), "");
+  GroupSchedule repeated = g;
+  repeated.ranks[0].steps[1].waits.push_back(repeated.ranks[0].steps[0].waits[0]);
+  EXPECT_NE(edge_mismatch(repeated).find("repeated wait"), std::string::npos);
+  GroupSchedule unmatched = g;
+  unmatched.ranks[0].steps[0].sends[0].tag = 7;
+  EXPECT_NE(edge_mismatch(unmatched).find("unmatched send"), std::string::npos);
 }
 
 }  // namespace
