@@ -76,7 +76,7 @@ void Hca::trace(std::string_view event, std::int64_t a, std::int64_t b,
 void Hca::post_write(int dst_node, IbWrite body, std::uint32_t payload_bytes) {
   const std::uint32_t wire = config_->header_bytes + payload_bytes;
   unit_.exec(config_->qp_process, [this, dst_node, body, wire]() mutable {
-    SendQp& q = send_qps_[dst_node];
+    SendQp& q = send_qps_[static_cast<std::uint32_t>(dst_node)];
     IbWrite stamped = body;
     stamped.psn = q.next_psn++;
     q.window.push_back({stamped, wire});
@@ -118,7 +118,7 @@ void Hca::on_packet(net::Packet&& p) {
 }
 
 void Hca::accept_request(int src_node, const IbWrite& w) {
-  RecvQp& q = recv_qps_[src_node];
+  RecvQp& q = recv_qps_[static_cast<std::uint32_t>(src_node)];
   if (w.psn == q.expected_psn) {
     ++q.expected_psn;
     q.nak_outstanding = false;
@@ -219,7 +219,7 @@ void Hca::SendQp::ack_below(std::uint32_t psn) {
 }
 
 void Hca::handle_ack(int peer, const IbAck& a) {
-  SendQp& q = send_qps_[peer];
+  SendQp& q = send_qps_[static_cast<std::uint32_t>(peer)];
   q.ack_below(a.psn);
   if (a.nak) {
     trace("nak_rx", peer, a.psn);
@@ -244,7 +244,7 @@ void Hca::arm_rto(int peer, SendQp& q) {
   if (skip_retransmit_) return;
   assert(!q.timer_armed);
   q.timer_armed = true;
-  // Map entries never move, so the timer holds on to the QP itself.
+  // Table entries never move, so the timer holds on to the QP itself.
   q.rto_timer = engine_->schedule(config_->rto, [this, peer, qp = &q] {
     qp->timer_armed = false;
     if (qp->idle()) return;
@@ -255,7 +255,7 @@ void Hca::arm_rto(int peer, SendQp& q) {
 }
 
 void Hca::retransmit_window(int peer) {
-  SendQp& q = send_qps_[peer];
+  SendQp& q = send_qps_[static_cast<std::uint32_t>(peer)];
   if (q.idle()) return;
   if (q.timer_armed) {
     engine_->cancel(q.rto_timer);
@@ -264,7 +264,7 @@ void Hca::retransmit_window(int peer) {
   // Go-back-N: replay the whole unacked window in PSN order under one WQE
   // re-fetch charge; the receiver's PSN check discards any overlap.
   unit_.exec(config_->qp_process, [this, peer] {
-    SendQp& sq = send_qps_[peer];
+    SendQp& sq = send_qps_[static_cast<std::uint32_t>(peer)];
     for (std::size_t i = sq.acked; i < sq.window.size(); ++i) {
       const PendingWrite& pw = sq.window[i];
       ++stats_.retransmissions;

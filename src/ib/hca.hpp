@@ -19,8 +19,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/group_table.hpp"
 #include "core/group_window.hpp"
+#include "core/id_table.hpp"
 #include "core/schedule.hpp"
 #include "ib/config.hpp"
 #include "ib/verbs.hpp"
@@ -180,12 +180,14 @@ class Hca {
   bool skip_retransmit_ = false;
   HostMsgHandler host_msg_handler_;
 
-  std::unordered_map<int, SendQp> send_qps_;
-  std::unordered_map<int, RecvQp> recv_qps_;
+  // Per-peer transport state, keyed by node. Entries never move, so an
+  // armed RTO timer holds on to its SendQp.
+  core::IdTable<SendQp> send_qps_;
+  core::IdTable<RecvQp> recv_qps_;
   std::unordered_map<std::uint32_t, std::int64_t> atomic_words_;
   std::unordered_map<std::uint32_t, AtomicDone> pending_atomics_;
   std::uint32_t next_atomic_token_ = 1;
-  core::GroupTable<Group> groups_;
+  core::IdTable<Group> groups_;
 };
 
 }  // namespace qmb::ib

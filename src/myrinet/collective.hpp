@@ -30,8 +30,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/group_table.hpp"
 #include "core/group_window.hpp"
+#include "core/id_table.hpp"
 #include "core/schedule.hpp"
 #include "myrinet/nic.hpp"
 #include "myrinet/packets.hpp"
@@ -164,7 +164,7 @@ class CollectiveEngine {
   Nic& nic_;
   const LanaiConfig& cfg_;
   CollStats stats_;
-  core::GroupTable<Group> groups_;
+  core::IdTable<Group> groups_;
   std::unordered_map<std::uint64_t, MsgRecord> msg_records_;  // ablation only
 };
 

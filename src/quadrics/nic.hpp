@@ -12,8 +12,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/group_table.hpp"
 #include "core/group_window.hpp"
+#include "core/id_table.hpp"
 #include "core/schedule.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
@@ -131,7 +131,7 @@ class Nic {
   ProbeHandler probe_handler_;
   GoHandler go_handler_;
   std::uint64_t tset_round_ = 0;
-  core::GroupTable<Group> groups_;
+  core::IdTable<Group> groups_;
 };
 
 }  // namespace qmb::elan

@@ -1,9 +1,16 @@
 // Cancellable pending-event queue for the discrete-event engine.
 //
-// A binary heap keyed on (time, sequence). The sequence number breaks ties
-// in insertion order, which makes the whole simulation deterministic: two
-// events scheduled for the same instant always fire in the order they were
-// scheduled.
+// Two tiers keyed on (time, sequence). Entries due soon sit in a 4-ary
+// min-heap of 24-byte (at, seq, slot, gen) records; entries after a
+// horizon (the fence) sit unsorted in a far tier, so work scheduled long
+// ahead (a load run's pre-drawn arrivals, far timers) costs one append
+// instead of sifting every pop through it. When the heap runs dry, the
+// earliest share of the far tier moves into it (nth_element on time, with
+// every entry tied with the last one moved, so ties never straddle the
+// fence); a heap grown past its bound spills its later half back. The
+// sequence number breaks ties in insertion order, which makes the whole
+// simulation deterministic: two events scheduled for the same instant
+// always fire in the order they were scheduled.
 //
 // The (time, insertion) tie-break is a CONTRACT, not an implementation
 // detail: the parallel (PDES) engine partitions the simulation into
@@ -30,7 +37,9 @@
 // time-symmetric past kDepth are ordered by the anchor stamp, which the
 // coordinator assigns in merge order — itself the senders' sequential
 // order, inductively. Sequential queues leave path/lineage zero, so the
-// extended comparator degenerates to the historical (at, seq) bit-for-bit.
+// extended comparator degenerates to the historical (at, seq) bit-for-bit;
+// path and lineage live in a per-slot side array that exists only once a
+// push carries a non-zero one, and is read only when two times tie.
 // Window merges sort deferred cross-domain sends by the same
 // (emit, path, lineage) key, falling back to (domain, per-domain order)
 // only for pre-run-rooted ties — where domain blocks are ascending so that
@@ -39,11 +48,14 @@
 //
 // Cancellation is O(1) and allocation-free: every live event owns a slot in
 // a generation table; cancelling bumps the slot's generation, which orphans
-// the heap entry. Orphans are popped off the top when they surface — by
-// next_time() as well as pop(), so the front upkeep is amortized O(log n)
-// per cancel — or swept by compaction when dead entries outnumber live
-// ones (NACK-timeout storms cancel thousands of armed retransmit timers and
-// must not leave the heap full of corpses).
+// the queued entry. The slot returns to the free list only when its entry
+// leaves the queue, never at cancel(): a sharded queue keeps path and
+// lineage per slot, and a recycled slot would change a buried dead entry's
+// key under the heap. Orphans are popped off the top when they surface —
+// by next_time() as well as pop(), so the front upkeep is amortized
+// O(log n) per cancel — or swept from both tiers by compaction when dead
+// entries outnumber live ones (NACK-timeout storms cancel thousands of
+// armed retransmit timers and must not leave the queue full of corpses).
 // No hashing and no per-event allocation in the common case: callbacks are
 // small-buffer-optimized (sim::Callback) and slots are recycled through a
 // free list.
@@ -111,9 +123,14 @@ class EventQueue {
   bool cancel(EventId id);
 
   /// Time of the earliest live event, or nullopt when empty. Pops any
-  /// cancelled entries off the heap top first (which never reorders live
-  /// events), hence non-const.
-  [[nodiscard]] std::optional<SimTime> next_time();
+  /// cancelled entries off the heap top first and refills the heap from the
+  /// far tier when it runs dry (neither reorders live events), hence
+  /// non-const.
+  [[nodiscard]] std::optional<SimTime> next_time() {
+    if (heap_.empty() || !is_live(heap_.front())) settle_front();
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().at;
+  }
 
   /// Removes and returns the earliest live event. Precondition: !empty().
   /// sched/lineage echo what push() recorded, so a sharded engine can
@@ -133,54 +150,74 @@ class EventQueue {
   /// Total events ever scheduled; useful as a cheap determinism fingerprint.
   [[nodiscard]] std::uint64_t total_scheduled() const { return next_seq_ - 1; }
 
-  /// Heap entries currently held, live plus cancelled-but-unswept. Exposed
-  /// so tests can assert the compaction invariant: after every push, cancel
-  /// and pop, a heap of kCompactFloor or more entries holds no more dead
-  /// entries than live ones.
-  [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
+  /// Entries currently held by both tiers, live plus cancelled-but-unswept.
+  /// Exposed so tests can assert the compaction invariant: after every
+  /// push, cancel and pop, a queue of kCompactFloor or more entries holds no
+  /// more dead entries than live ones.
+  [[nodiscard]] std::size_t heap_entries() const { return heap_.size() + far_.size(); }
 
  private:
-  // Heap entries are small PODs; the callback itself lives in the slot
-  // table (stable storage, one move per event) so sift swaps are plain
-  // memberwise copies instead of SBO relocations of a 100-byte callback.
-  // The full ancestry path rides in the entry (path.hops[0] is the sched
-  // instant) because the comparator needs the deeper hops: a locally pushed
-  // event and a coordinator-injected delivery can tie on sched, and only
-  // the ancestors' scheduling instants recover the sequential order.
+  // Queue entries carry only what orders a sequential queue, (at, seq),
+  // plus the slot that owns the callback and the generation that says
+  // whether the entry is still live: 24 bytes, so a 4-ary sift reads a
+  // node's four children from about one and a half cache lines. The
+  // callback lives in the slot table (stable storage, one move in and one
+  // out per event); a sharded queue's path and lineage live in slot_key_.
   struct Entry {
     SimTime at;
-    SchedPath path;
-    std::uint64_t lineage = 0;
     std::uint64_t seq = 0;
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
-
-    // Min-heap: std::push_heap etc. build a max-heap on operator<, so invert.
-    // Sequential queues hold all-zero path/lineage, so the extra compares
-    // never reorder anything there.
-    friend bool operator<(const Entry& a, const Entry& b) {
-      if (a.at != b.at) return a.at > b.at;
-      for (std::size_t h = 0; h < SchedPath::kDepth; ++h) {
-        if (a.path.hops[h] != b.path.hops[h]) return a.path.hops[h] > b.path.hops[h];
-      }
-      if (a.lineage != b.lineage) return a.lineage > b.lineage;
-      return a.seq > b.seq;
-    }
+  };
+  // The sharded part of the key, per slot. A slot belongs to one queued
+  // entry from push() until that entry leaves the queue (fired, popped
+  // dead or swept), never just until cancel(), so a buried dead entry's
+  // key cannot change under it and break the heap order of live ones.
+  struct SlotKey {
+    SchedPath path;
+    std::uint64_t lineage = 0;
   };
 
-  // Below this size the dead-entry ratio is irrelevant; avoids re-heapifying
-  // tiny queues on every other cancel.
+  // Below this many entries the dead-entry ratio is irrelevant; avoids
+  // re-heapifying tiny queues on every other cancel.
   static constexpr std::size_t kCompactFloor = 64;
+  // A heap larger than this spills its later half to the far tier.
+  static constexpr std::size_t kSpillAbove = 1024;
+  // A heap that runs dry takes the earliest 1/kRefillShare of the far tier,
+  // at least kRefillMin entries.
+  static constexpr std::size_t kRefillShare = 16;
+  static constexpr std::size_t kRefillMin = 256;
 
   [[nodiscard]] bool is_live(const Entry& e) const { return slot_gen_[e.slot] == e.gen; }
-  void release_slot(std::uint32_t slot);
-  void drop_dead_front();
-  void compact_if_stale();
+  template <bool kKeyed>
+  [[nodiscard]] bool before(const Entry& a, const Entry& b) const;
+  template <bool kKeyed>
+  void sift_up(std::size_t i, Entry e);
+  template <bool kKeyed>
+  void sift_down(std::size_t i, Entry e);
+  void heap_push(const Entry& e);
+  void heap_pop_front();
+  void make_heap();
 
+  void settle_front();
+  void refill();
+  void spill();
+  void compact_if_stale();
+  void drop(const Entry& e) { free_slots_.push_back(e.slot); }
+
+  // The heap holds every entry at or before fence_, the far tier (unsorted)
+  // every entry after it. fence_ is SimTime::max() until the first spill
+  // and again after a refill that empties the far tier.
   std::vector<Entry> heap_;
+  std::vector<Entry> far_;
+  SimTime fence_ = SimTime::max();
+  std::size_t spill_above_ = kSpillAbove;
+
   std::vector<std::uint32_t> slot_gen_;    // slot -> generation of its current owner
   std::vector<EventCallback> slot_cb_;     // slot -> the pending callback
-  std::vector<std::uint32_t> free_slots_;  // recycled slot indices
+  std::vector<SlotKey> slot_key_;          // slot -> path/lineage; empty until keyed_
+  std::vector<std::uint32_t> free_slots_;  // slots whose entry has left the queue
+  bool keyed_ = false;  // some push carried a non-zero path or lineage
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
 };

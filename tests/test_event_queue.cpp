@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <random>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -182,8 +184,9 @@ TEST(EventQueue, SmallHeapSkipsCompaction) {
 }
 
 TEST(EventQueue, StaleIdAfterSlotReuseFails) {
-  // A cancelled id's slot gets recycled for the next push; the stale id's
-  // generation no longer matches, so it can never cancel the new event.
+  // A cancelled id's generation no longer matches its slot's, so it can
+  // never cancel a later event, including one that inherits the slot once
+  // the dead entry has left the queue.
   EventQueue q;
   const EventId stale = q.push(at_us(1), [] {});
   EXPECT_TRUE(q.cancel(stale));
@@ -314,6 +317,167 @@ TEST(EventQueue, MatchesOrderedSetReference) {
     ASSERT_LE(q.heap_entries(), std::max<std::size_t>(64, 2 * q.size())) << "step " << step;
   }
   EXPECT_EQ(q.total_scheduled(), issued.size());
+}
+
+TEST(EventQueue, MatchesOrderedSetReferenceAcrossTiers) {
+  // The same differential check with pushes that span the near heap and
+  // the far tier: times are drawn from a few hundred distinct instants
+  // over a wide range, so ties straddle every horizon the queue picks;
+  // growth phases push thousands of entries (the heap spills its later
+  // half), drains run it dry (the far tier refills it), and cancel storms
+  // kill far entries as well as near ones and trigger compaction across
+  // both tiers.
+  EventQueue q;
+  std::set<std::pair<SimTime, std::uint64_t>> ref;
+  std::vector<std::pair<EventId, SimTime>> issued;  // index = push order
+  std::uint64_t fired = ~std::uint64_t{0};
+  std::mt19937_64 rng(0x7165);
+  SimTime floor = SimTime::zero();  // last popped instant
+  for (int step = 0; step < 120'000; ++step) {
+    static constexpr std::uint64_t kMix[4][2] = {{80, 5}, {10, 10}, {15, 75}, {45, 10}};
+    const auto [push_pct, cancel_pct] = kMix[(step / 5'000) % 4];
+    const std::uint64_t r = rng() % 100;
+    if (r < push_pct) {
+      // Half near the front (within 8 us of the last pop), half anywhere
+      // up to 2 ms ahead, on a 1 us grid so equal instants are common.
+      const std::int64_t ahead =
+          rng() % 2 == 0 ? static_cast<std::int64_t>(rng() % 8)
+                         : static_cast<std::int64_t>(rng() % 2'000);
+      const SimTime at = floor + SimDuration(ahead * 1'000'000);
+      const std::uint64_t seq = issued.size();
+      issued.emplace_back(q.push(at, [&fired, seq] { fired = seq; }), at);
+      ref.emplace(at, seq);
+    } else if (r < push_pct + cancel_pct && !issued.empty()) {
+      // Half the cancels hit the latest live event (far-tier entries in a
+      // growth phase), the rest any id ever issued, often stale.
+      std::uint64_t seq = rng() % issued.size();
+      if (rng() % 2 == 0 && !ref.empty()) seq = std::prev(ref.end())->second;
+      const bool pending = ref.erase({issued[seq].second, seq}) == 1;
+      ASSERT_EQ(q.cancel(issued[seq].first), pending) << "step " << step;
+    } else if (!ref.empty()) {
+      const auto [at, seq] = *ref.begin();
+      ref.erase(ref.begin());
+      EventQueue::Fired f = q.pop();
+      f.cb();
+      ASSERT_EQ(f.at, at) << "step " << step;
+      ASSERT_EQ(fired, seq) << "step " << step;
+      floor = at;
+    }
+    const std::optional<SimTime> want =
+        ref.empty() ? std::nullopt : std::optional<SimTime>(ref.begin()->first);
+    ASSERT_EQ(q.next_time(), want) << "step " << step;
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_LE(q.heap_entries(), std::max<std::size_t>(64, 2 * q.size())) << "step " << step;
+  }
+  EXPECT_EQ(q.total_scheduled(), issued.size());
+}
+
+/// The full sharded ordering key, as a tuple a std::set orders the same
+/// way the queue must: (at, path, lineage, seq).
+using KeyedRef = std::tuple<SimTime, std::array<SimTime, SchedPath::kDepth>, std::uint64_t,
+                            std::uint64_t>;
+
+/// Pushes, cancels and pops with random paths and lineages from small
+/// ranges (so every level of the key breaks some ties) and checks each pop
+/// against a std::set over the full key. With few `instants`, nearly every
+/// pop is decided by the path/lineage/seq part of the key.
+void check_keyed_against_reference(std::uint64_t seed, std::int64_t instants, int steps) {
+  EventQueue q;
+  std::set<KeyedRef> ref;
+  std::vector<std::pair<EventId, KeyedRef>> issued;  // index = push order
+  std::uint64_t fired = ~std::uint64_t{0};
+  std::mt19937_64 rng(seed);
+  SimTime floor = SimTime::zero();
+  for (int step = 0; step < steps; ++step) {
+    static constexpr std::uint64_t kMix[3][2] = {{70, 10}, {20, 50}, {25, 10}};
+    const auto [push_pct, cancel_pct] = kMix[(step / 3'000) % 3];
+    const std::uint64_t r = rng() % 100;
+    if (r < push_pct) {
+      const SimTime at = floor + SimDuration(static_cast<std::int64_t>(
+                                     rng() % static_cast<std::uint64_t>(instants)) *
+                                 1'000'000);
+      SchedPath path;
+      for (SimTime& hop : path.hops) hop = at_us(static_cast<std::int64_t>(rng() % 3));
+      const std::uint64_t lineage = rng() % 3;
+      const std::uint64_t seq = issued.size();
+      const KeyedRef key{at, path.hops, lineage, seq};
+      issued.emplace_back(
+          q.push(at, [&fired, seq] { fired = seq; }, path.hops[0], lineage, &path), key);
+      ref.insert(key);
+    } else if (r < push_pct + cancel_pct && !issued.empty()) {
+      const std::uint64_t seq = rng() % issued.size();
+      const bool pending = ref.erase(issued[seq].second) == 1;
+      ASSERT_EQ(q.cancel(issued[seq].first), pending) << "step " << step;
+    } else if (!ref.empty()) {
+      const KeyedRef want = *ref.begin();
+      ref.erase(ref.begin());
+      EventQueue::Fired f = q.pop();
+      f.cb();
+      ASSERT_EQ(f.at, std::get<0>(want)) << "step " << step;
+      ASSERT_EQ(f.path.hops, std::get<1>(want)) << "step " << step;
+      ASSERT_EQ(f.sched, std::get<1>(want)[0]) << "step " << step;
+      ASSERT_EQ(f.lineage, std::get<2>(want)) << "step " << step;
+      ASSERT_EQ(fired, std::get<3>(want)) << "step " << step;
+      floor = f.at;
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_LE(q.heap_entries(), std::max<std::size_t>(64, 2 * q.size())) << "step " << step;
+  }
+  EXPECT_EQ(q.total_scheduled(), issued.size());
+}
+
+TEST(EventQueue, KeyedMatchesOrderedSetReference) {
+  check_keyed_against_reference(0xbeef, 3'000, 60'000);
+}
+
+TEST(EventQueue, KeyedTiesMatchOrderedSetReference) {
+  check_keyed_against_reference(0xcafe, 2, 30'000);
+}
+
+TEST(EventQueue, CancelledSlotIsNotReusedWhileQueued) {
+  // A cancelled entry keeps its slot until it leaves the queue. If cancel()
+  // recycled the slot at once, the next push would overwrite the slot's
+  // path/lineage while the dead entry still sits in the heap under the old
+  // key, and sifts through that entry would misorder live ones. All entries
+  // share one instant here, so only the side-array key orders them.
+  EventQueue q;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> ref;  // (lineage, seq)
+  std::vector<EventId> ids;
+  std::vector<std::uint64_t> lineages;
+  std::uint64_t fired = 0;
+  std::mt19937_64 rng(0x51a7);
+  const SchedPath path{{at_us(1)}};
+  auto push = [&] {
+    const std::uint64_t lineage = 1 + rng() % 1'000;
+    const std::uint64_t seq = ids.size();
+    ids.push_back(q.push(at_us(9), [&fired, seq] { fired = seq; }, at_us(1), lineage, &path));
+    lineages.push_back(lineage);
+    ref.emplace(lineage, seq);
+  };
+  for (int i = 0; i < 40; ++i) push();
+  for (int round = 0; round < 2'000; ++round) {
+    // Cancel a random live entry, then push into the freed capacity.
+    const std::uint64_t victim = rng() % ids.size();
+    if (ref.erase({lineages[victim], victim}) == 1) {
+      EXPECT_TRUE(q.cancel(ids[victim]));
+    }
+    push();
+    if (round % 3 == 0) {
+      const auto [lineage, seq] = *ref.begin();
+      ref.erase(ref.begin());
+      const EventQueue::Fired f = q.pop();
+      f.cb();
+      ASSERT_EQ(f.lineage, lineage) << "round " << round;
+      ASSERT_EQ(fired, seq) << "round " << round;
+    }
+  }
+  while (!ref.empty()) {
+    const auto [lineage, seq] = *ref.begin();
+    ref.erase(ref.begin());
+    q.pop().cb();
+    ASSERT_EQ(fired, seq);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // The (time, insertion) tie-break is a contract the PDES engine builds on

@@ -14,6 +14,10 @@
 // The same holds one layer up: once both slots of a GroupWindow have run an
 // operation, further operations (early arrivals included) reuse the slots'
 // arrival words, payload arrays and early buffers without allocating.
+//
+// And one layer down: a warmed sim::EventQueue pushes, cancels and pops —
+// far-tier spills and refills included — without allocating, and a fresh
+// queue holds no memory at all (every engine of a sweep builds one).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +31,7 @@
 #include "net/fabric.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_queue.hpp"
 #include "window_harness.hpp"
 
 namespace {
@@ -243,3 +248,63 @@ TEST(HotpathAlloc, SteadyStateWindowOpsPerformZeroAllocations) {
 
 }  // namespace
 }  // namespace qmb::core
+
+namespace qmb::sim {
+namespace {
+
+/// One queue workout: a burst of 6000 pushes spread over 60 ms (far more
+/// than the heap keeps, so its later part spills to the far tier), a third
+/// of them cancelled, then a drain that refills the heap from the far tier
+/// again and again while every fired event schedules a near-term successor
+/// half the time.
+void queue_cycle(EventQueue& q, std::vector<EventId>& ids, std::uint64_t& fired) {
+  ids.clear();
+  SimTime now = SimTime::zero();
+  for (int i = 0; i < 6'000; ++i) {
+    const SimTime at(static_cast<std::int64_t>((i * 7'919) % 6'000) * 10'000'000);
+    ids.push_back(q.push(at, [&fired] { ++fired; }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+  std::uint64_t n = 0;
+  while (!q.empty()) {
+    EventQueue::Fired f = q.pop();
+    now = f.at;
+    f.cb();
+    if (++n % 2 == 0 && n < 8'000) q.push(now + SimDuration(1'000'000), [&fired] { ++fired; });
+  }
+}
+
+TEST(HotpathAlloc, ConstructingAnEventQueueAllocatesNothing) {
+  g_allocs.store(0);
+  g_counting.store(true);
+  {
+    EventQueue q;
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.heap_entries(), 0u);
+  }
+  g_counting.store(false);
+  EXPECT_EQ(g_allocs.load(), 0u) << "EventQueue's constructor allocated";
+}
+
+TEST(HotpathAlloc, SteadyStateEventQueuePerformsZeroAllocations) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  ids.reserve(6'000);
+  std::uint64_t fired = 0;
+  queue_cycle(q, ids, fired);  // grows every vector to its peak
+  const std::uint64_t warm_fired = fired;
+
+  g_allocs.store(0);
+  g_counting.store(true);
+  queue_cycle(q, ids, fired);
+  g_counting.store(false);
+  const std::uint64_t allocs = g_allocs.load();
+
+  EXPECT_EQ(fired - warm_fired, warm_fired);
+  EXPECT_GT(warm_fired, 6'000u);
+  EXPECT_EQ(allocs, 0u) << "a warmed queue allocated " << allocs << " times over "
+                        << warm_fired << " events";
+}
+
+}  // namespace
+}  // namespace qmb::sim
